@@ -47,6 +47,7 @@ from .bounds import (
     pure_state_projection,
     signed_boundary_distance,
     surface_to_csv,
+    tight_value,
     variational_f,
     variational_solver_state,
 )

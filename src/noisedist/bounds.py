@@ -152,6 +152,25 @@ class BoundReport:
     saturation_gap: float
 
 
+def _inverse_pair(noise_bits, disturbance_bits):
+    """(g[N], g[D]) from a single inverse-entropy call on the stacked pair,
+    each clipped to [0, 1] bits first."""
+    pair = np.stack(np.broadcast_arrays(noise_bits, disturbance_bits))
+    g = binary_entropy_inverse(np.clip(pair, 0.0, 1.0))
+    return g[0], g[1]
+
+
+def tight_value(noise_bits, disturbance_bits):
+    """g[N]^2 + g[D]^2 for scalars or arrays of (noise, disturbance) bits.
+
+    It is at most 1 for every physical point and exactly 1 on the tradeoff
+    boundary. One inverse-entropy call covers both arguments.
+    """
+    g_n, g_d = _inverse_pair(noise_bits, disturbance_bits)
+    tight = g_n * g_n + g_d * g_d
+    return float(tight) if np.ndim(tight) == 0 else tight
+
+
 def check_bounds(
     point: NDPoint,
     a: Observable = SIGMA_Z,
@@ -166,9 +185,7 @@ def check_bounds(
     """
     c = c_ab(a, b)
     total = point.noise + point.disturbance
-    gn = binary_entropy_inverse(min(max(point.noise, 0.0), 1.0))
-    gd = binary_entropy_inverse(min(max(point.disturbance, 0.0), 1.0))
-    tight = gn * gn + gd * gd
+    tight = tight_value(point.noise, point.disturbance)
     return BoundReport(
         c_ab=c,
         sum_nd=total,
@@ -290,8 +307,12 @@ def boundary_curve(samples: int) -> BoundaryCurve:
 def boundary_disturbance(noise_bits):
     """Disturbance of the boundary point with the given noise: the minimal
     disturbance compatible with the tight relation."""
-    g = binary_entropy_inverse(np.clip(noise_bits, 0.0, 1.0))
-    return binary_entropy(np.sqrt(np.clip(1.0 - g * g, 0.0, 1.0)))
+    return _boundary_disturbance_of_g(binary_entropy_inverse(np.clip(noise_bits, 0.0, 1.0)))
+
+
+def _boundary_disturbance_of_g(g_noise):
+    """boundary_disturbance given g[N] instead of N."""
+    return binary_entropy(np.sqrt(np.clip(1.0 - g_noise * g_noise, 0.0, 1.0)))
 
 
 def signed_boundary_distance(noise_bits, disturbance_bits):
@@ -418,10 +439,9 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     n_proj = (weights * h_z_proj).sum(axis=1)
     d_proj = (weights * binary_entropy(ry)).sum(axis=1)
 
-    g_n = binary_entropy_inverse(np.clip(n_star, 0.0, 1.0))
-    g_d = binary_entropy_inverse(np.clip(d_star, 0.0, 1.0))
-
-    distances = signed_boundary_distance(n_star, d_star)
+    # one inverse call serves both the tight excess and the boundary distance
+    g_n, g_d = _inverse_pair(n_star, d_star)
+    distances = d_star - _boundary_disturbance_of_g(g_n)
     single = sizes == 1
     worst = int(np.argmin(distances))
     worst_members = tuple(
@@ -449,10 +469,11 @@ class MaassenUffinkReport:
     """Comparison of the boundary against the flat entropy bound
     H(sigma_y) + H(sigma_z) >= 1 bit.
 
-    min_state_sum sweeps single pure states in the y-z plane (via
-    ensemble_point); min_boundary_sum takes N + D along boundary_curve. Both
-    minima equal 1 bit, attained at the eigenstate endpoints only;
-    min_interior_gap is the smallest interior excess over 1 bit.
+    min_state_sum sweeps single pure states in the y-z plane (built by
+    PureState.from_angles, summed as h(r_z) + h(r_y)); min_boundary_sum takes
+    N + D along boundary_curve. Both minima equal 1 bit, attained at the
+    eigenstate endpoints only; min_interior_gap is the smallest interior
+    excess over 1 bit.
     """
 
     min_state_sum: float
@@ -470,11 +491,11 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples!r}")
     thetas = np.linspace(0.0, math.pi / 2, int(samples))
-    sums = np.empty(thetas.size)
-    for i, t in enumerate(thetas):
-        state = PureState.from_angles(t, math.pi / 2).direction
-        n, d = ensemble_point([EnsembleMember(1.0, state)])
-        sums[i] = n + d
+    states = [PureState.from_angles(t, math.pi / 2).direction for t in thetas.tolist()]
+    r_z = np.array([s.z for s in states])
+    r_y = np.array([s.y for s in states])
+    # ensemble_point of the single member (1, state), for all states at once
+    sums = binary_entropy(r_z) + binary_entropy(r_y)
     curve = boundary_curve(int(samples))
     boundary_sums = curve.noise + curve.disturbance
     argmin = int(np.argmin(sums))

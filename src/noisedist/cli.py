@@ -25,12 +25,13 @@ from . import __version__
 from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, ProjectiveInstrument, polar_observable
 from .bounds import (
     boundary_curve,
-    check_bounds,
+    c_ab,
     correction_grid_search,
     ensemble_boundary_oracle,
     maassen_uffink_compare,
     optimal_correction,
     surface_to_csv,
+    tight_value,
     variational_f,
 )
 from .counting import nd_from_counts, simulate_intensities
@@ -74,7 +75,7 @@ def _fmt_bool(value) -> str:
 
 def parse_theta_spec(text: str) -> list[float]:
     """Parse a theta grid: comma-separated values and start:stop:step ranges
-    (inclusive of both ends), all in degrees."""
+    (inclusive of both ends), all in degrees. Every number must be finite."""
     values: list[float] = []
     for token in str(text).split(","):
         token = token.strip()
@@ -84,14 +85,21 @@ def parse_theta_spec(text: str) -> list[float]:
             parts = token.split(":")
             if len(parts) != 3:
                 raise ValueError(f"bad range {token!r}, expected start:stop:step")
-            start, stop, step = (float(p) for p in parts)
+            start, stop, step = (_finite_float(p) for p in parts)
             if step <= 0 or stop < start:
                 raise ValueError(f"invalid grid range {token!r}")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             values.extend(start + k * step for k in range(count))
         else:
-            values.append(float(token))
+            values.append(_finite_float(token))
     return values
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -178,6 +186,9 @@ def _resolve_options(args: argparse.Namespace, command: str, parser: argparse.Ar
                 parser.error(f"config key {key!r}: cannot parse {config[key]!r}")
         else:
             resolved[key] = default
+        if isinstance(resolved[key], float) and not math.isfinite(resolved[key]):
+            parser.error(f"--{key.replace('_', '-')} must be a finite number, "
+                         f"got {resolved[key]!r}")
     return SimpleNamespace(**resolved)
 
 
@@ -211,31 +222,39 @@ def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
         parser.error(f"cannot write output path {path}: {exc}")
 
 
-def _make_correction(kind, target_spec, m_obs, parser):
-    """(CorrectionMap or None, label) for a correction choice."""
+def _parse_target(kind, target_spec, parser):
+    """(vartheta_deg, phi_deg) of --target for --correction custom, else None."""
+    if kind != "custom":
+        return None
+    if not target_spec:
+        parser.error("--correction custom requires --target VARTHETA,PHI (degrees)")
+    try:
+        vt_deg, phi_deg = (_finite_float(p) for p in str(target_spec).split(","))
+    except ValueError:
+        parser.error(f"--target expects 'VARTHETA,PHI' as finite degrees, got {target_spec!r}")
+    return vt_deg, phi_deg
+
+
+def _make_correction(kind, target, m_obs):
+    """(CorrectionMap or None, label) for a correction choice; `target` is
+    the parsed --target of a custom correction."""
     if kind == "none":
         return None, "identity"
     if kind == "optimal":
         return optimal_correction(m_obs.axis, SIGMA_Y), "optimal"
-    if kind == "custom":
-        if not target_spec:
-            parser.error("--correction custom requires --target VARTHETA,PHI (degrees)")
-        try:
-            vt_deg, phi_deg = (float(p) for p in str(target_spec).split(","))
-        except ValueError:
-            parser.error(f"--target expects 'VARTHETA,PHI' in degrees, got {target_spec!r}")
-        cmap = CorrectionMap.from_rotation_angles(math.radians(vt_deg), math.radians(phi_deg))
-        return cmap, f"custom({vt_deg:g},{phi_deg:g})"
-    parser.error(f"unknown correction {kind!r}")
+    vt_deg, phi_deg = target
+    cmap = CorrectionMap.from_rotation_angles(math.radians(vt_deg), math.radians(phi_deg))
+    return cmap, f"custom({vt_deg:g},{phi_deg:g})"
 
 
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_row(theta_deg, mode, correction_kind, target_spec, shots, seed, tolerance, parser):
+def _sweep_point(theta_deg, mode, correction_kind, target, shots, seed):
+    """(NDPoint of N and the corrected disturbance, uncorrected D0) at one angle."""
     theta = math.radians(theta_deg)
     m = polar_observable(theta)
-    corr_map, corr_label = _make_correction(correction_kind, target_spec, m, parser)
+    corr_map, corr_label = _make_correction(correction_kind, target, m)
 
     if mode == "analytic":
         inst = ProjectiveInstrument(m)
@@ -255,19 +274,7 @@ def _sweep_row(theta_deg, mode, correction_kind, target_spec, shots, seed, toler
                 m, corr_map, "B", shots, seed, mode, correction_label=corr_label)
             dcorr = nd_from_counts(table_a, table_bc).disturbance
 
-    point = NDPoint(n, dcorr, theta=theta, corrected=corr_map is not None)
-    report = check_bounds(point, SIGMA_Z, SIGMA_Y, tolerance=tolerance)
-    general_ok = report.satisfies_general and (n + d0 >= report.c_ab - tolerance)
-    return {
-        "theta_deg": float(theta_deg),
-        "N": n,
-        "D0": d0,
-        "Dcorr": dcorr,
-        "sum_ND": report.sum_nd,
-        "tight_value": report.tight_value,
-        "general_ok": bool(general_ok),
-        "tight_ok": bool(report.satisfies_tight),
-    }
+    return NDPoint(n, dcorr, theta=theta, corrected=corr_map is not None), d0
 
 
 def run_sweep(opt, parser) -> int:
@@ -284,14 +291,28 @@ def run_sweep(opt, parser) -> int:
         parser.error(str(exc))
     if not thetas:
         parser.error("empty theta grid")
+    target = _parse_target(correction, opt.target, parser)
     # analytic rows are exact; sampled rows get a 3-sigma-style slack
     tolerance = opt.tolerance
     if tolerance is None:
         tolerance = 1e-9 if mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
+    points = [_sweep_point(t, mode, correction, target, opt.shots, opt.seed) for t in thetas]
+    # the checks of check_bounds, with one inverse-entropy call for the grid
+    c = c_ab(SIGMA_Z, SIGMA_Y)
+    tight = tight_value([p.noise for p, _ in points], [p.disturbance for p, _ in points])
     rows = [
-        _sweep_row(t, mode, correction, opt.target, opt.shots, opt.seed, tolerance, parser)
-        for t in thetas
+        {
+            "theta_deg": float(theta_deg),
+            "N": p.noise,
+            "D0": d0,
+            "Dcorr": p.disturbance,
+            "sum_ND": p.noise + p.disturbance,
+            "tight_value": t_val,
+            "general_ok": p.noise + p.disturbance >= c - tolerance and p.noise + d0 >= c - tolerance,
+            "tight_ok": t_val <= 1.0 + tolerance,
+        }
+        for theta_deg, (p, d0), t_val in zip(thetas, points, tight.tolist())
     ]
 
     if fmt == "csv":
@@ -328,7 +349,7 @@ def run_sweep(opt, parser) -> int:
 def run_correct_search(opt, parser) -> int:
     fmt = _check_choice(parser, "format", opt.format, _FORMATS)
     try:
-        steps = [float(p) for p in str(opt.grid).split(",")]
+        steps = [_finite_float(p) for p in str(opt.grid).split(",")]
     except ValueError:
         parser.error(f"--grid expects STEP or VSTEP,PSTEP in degrees, got {opt.grid!r}")
     if len(steps) == 1:
@@ -375,9 +396,7 @@ def run_boundary(opt, parser) -> int:
     if opt.samples < 2:
         parser.error(f"--samples must be >= 2, got {opt.samples}")
     curve = boundary_curve(opt.samples)
-    g_n = binary_entropy_inverse(np.clip(curve.noise, 0.0, 1.0))
-    g_d = binary_entropy_inverse(np.clip(curve.disturbance, 0.0, 1.0))
-    tight = g_n * g_n + g_d * g_d
+    tight = tight_value(curve.noise, curve.disturbance)
     mu_line = 1.0 - curve.noise
 
     if fmt == "csv":
@@ -423,8 +442,9 @@ def run_simulate(opt, parser) -> int:
         parser.error(f"--seed must be >= 0, got {opt.seed}")
     if not 0.0 < opt.efficiency <= 1.0:
         parser.error(f"--efficiency must lie in (0, 1], got {opt.efficiency}")
+    target = _parse_target(correction, opt.target, parser)
     m = polar_observable(math.radians(opt.theta))
-    corr_map, corr_label = _make_correction(correction, opt.target, m, parser)
+    corr_map, corr_label = _make_correction(correction, target, m)
     table = simulate_intensities(
         m, corr_map, family, opt.shots, opt.seed, mode,
         efficiency=opt.efficiency, correction_label=corr_label)
@@ -478,9 +498,7 @@ def _verify_checks(opt):
     checks.append(("general-bound", slack >= -1e-9,
                    f"min(N+D)-c_AB={slack:.3e} over {thetas.size} angles, both corrections"))
 
-    g_n = binary_entropy_inverse(np.clip(n_pipe, 0.0, 1.0))
-    g_d = binary_entropy_inverse(dopt_chk)
-    tight_dev = np.max(np.abs(g_n * g_n + g_d * g_d - 1.0))
+    tight_dev = np.max(np.abs(tight_value(n_pipe, dopt_chk) - 1.0))
     checks.append(("tight-saturation", tight_dev <= 1e-9,
                    f"max|g[N]^2+g[Dopt]^2-1|={tight_dev:.3e}"))
 

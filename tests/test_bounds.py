@@ -35,6 +35,7 @@ from noisedist import (
     pure_state_projection,
     signed_boundary_distance,
     surface_to_csv,
+    tight_value,
     variational_f,
 )
 
@@ -183,6 +184,15 @@ class TestCheckBounds:
         report = check_bounds(NDPoint(0.2, 0.2))
         assert not report.satisfies_tight
         assert not report.satisfies_general
+
+    def test_tight_value_on_arrays_matches_scalar_reports(self):
+        n = np.array([0.0, H_SIN45, H_SIN45, 0.2, 1.0])
+        d = np.array([1.0, H_SIN45, H_HALF, 0.2, 0.0])
+        tight = tight_value(n, d)
+        assert tight.shape == (5,)
+        for k in range(5):
+            assert tight[k] == check_bounds(NDPoint(n[k], d[k])).tight_value
+        assert isinstance(tight_value(H_SIN45, H_HALF), float)
 
     def test_non_complementary_pair_lowers_the_general_bound(self):
         report = check_bounds(NDPoint(0.2, 0.3), SIGMA_Z, polar_observable(math.radians(60.0)))
@@ -420,6 +430,18 @@ class TestMaassenUffink:
     def test_routes_agree(self):
         report = maassen_uffink_compare(361)
         assert report.route_max_diff <= 1e-12
+
+    def test_matches_the_ensemble_point_loop(self):
+        thetas = np.linspace(0.0, math.pi / 2, 157)
+        sums = np.array([
+            sum(ensemble_point([EnsembleMember(
+                1.0, PureState.from_angles(t, math.pi / 2).direction)]))
+            for t in thetas
+        ])
+        report = maassen_uffink_compare(157)
+        assert report.min_state_sum == sums.min()
+        assert report.argmin_theta == thetas[np.argmin(sums)]
+        assert report.min_interior_gap == sums[1:-1].min() - 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

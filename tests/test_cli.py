@@ -6,6 +6,7 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from noisedist import IntensityTable
@@ -53,6 +54,10 @@ class TestThetaSpec:
             parse_theta_spec("0:90:-10")
         with pytest.raises(ValueError):
             parse_theta_spec("90:0:10")
+        with pytest.raises(ValueError):
+            parse_theta_spec("0:inf:1")
+        with pytest.raises(ValueError):
+            parse_theta_spec("nan:90:10")
 
 
 class TestSweep:
@@ -206,6 +211,8 @@ class TestCorrectSearch:
         run_usage_error(["correct-search", "--grid", "0"])
         run_usage_error(["correct-search", "--grid", "-5"])
         run_usage_error(["correct-search", "--grid", "a,b"])
+        run_usage_error(["correct-search", "--grid", "nan"])
+        run_usage_error(["correct-search", "--grid", "inf,10"])
 
 
 class TestBoundary:
@@ -296,6 +303,43 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "skipped" in captured.err
         assert "ensemble-oracle" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta", "nan"],
+    ["sweep", "--theta", "inf"],
+    ["sweep", "--tolerance", "nan"],
+    ["sweep", "--correction", "custom", "--target", "nan,0"],
+    ["correct-search", "--theta-m", "nan"],
+    ["simulate", "--theta", "nan", "--mode", "exact"],
+], ids=" ".join)
+def test_non_finite_number_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    run_usage_error(argv + ["--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta", "0:180:5", "--correction", "none"],
+    ["sweep", "--theta", "0:90:15", "--mode", "multinomial", "--shots", "2000"],
+    ["boundary", "--samples", "500", "--format", "json"],
+], ids=" ".join)
+def test_one_inverse_entropy_call_per_command(argv, tmp_path, monkeypatch):
+    import noisedist.bounds
+    import noisedist.cli
+
+    calls = []
+    real = noisedist.bounds.binary_entropy_inverse
+
+    def counted(y):
+        calls.append(np.size(y))
+        return real(y)
+
+    monkeypatch.setattr(noisedist.bounds, "binary_entropy_inverse", counted)
+    monkeypatch.setattr(noisedist.cli, "binary_entropy_inverse", counted)
+    run_ok(argv + ["--out", str(tmp_path / "out")])
+    assert len(calls) == 1
 
 
 def test_unknown_command_is_usage_error():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisedist import (
@@ -31,6 +31,7 @@ from noisedist import (
     theory_noise,
 )
 from noisedist.bloch import OUTCOMES
+from noisedist.entropy import DOMAIN_ATOL
 
 # frozen with a 30-digit evaluation of the defining formulas
 H_HALF = 0.81127812445913286      # h(1/2)
@@ -38,6 +39,25 @@ H_SIN45 = 0.6008760366928561      # h(sin 45 deg)
 H_SIN50 = 0.52061073185482543     # h(sin 50 deg)
 
 GRID = np.radians(np.arange(181.0))
+
+
+def _bisect_inverse(y):
+    """Reference inverse of h on [0, 1]: bisection on the bracket [0, 1] until
+    it is below 1e-15 wide (about 50 steps). h is strictly decreasing there,
+    so this is unconditionally robust, if slow."""
+    arr = np.clip(np.asarray(y, dtype=float), 0.0, 1.0)
+    lo = np.zeros_like(arr)
+    hi = np.ones_like(arr)
+    for _ in range(200):
+        if not np.any(hi - lo > 1e-15):
+            break
+        mid = 0.5 * (lo + hi)
+        go_right = binary_entropy(mid) > arr  # root is where h crosses y
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    x = 0.5 * (lo + hi)
+    x = np.where(arr == 0.0, 1.0, x)
+    return np.where(arr == 1.0, 0.0, x)
 
 
 class TestBinaryEntropy:
@@ -51,6 +71,8 @@ class TestBinaryEntropy:
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
             binary_entropy(1.0 + 1e-9)
+        with pytest.raises(DomainError):
+            binary_entropy(np.array([0.5, math.nan]))
 
     def test_array_input(self):
         out = binary_entropy(np.array([0.0, 1.0, 0.5]))
@@ -78,6 +100,8 @@ class TestEntropyInverse:
             binary_entropy_inverse(-0.001)
         with pytest.raises(DomainError):
             binary_entropy_inverse(1.001)
+        with pytest.raises(DomainError):
+            binary_entropy_inverse(np.array([0.5, math.nan]))
 
     def test_round_trip_on_seeded_uniforms(self):
         x = np.random.default_rng(0).uniform(0.0, 1.0, 1000)
@@ -93,6 +117,44 @@ class TestEntropyInverse:
         y = np.linspace(0.0, 1.0, 257)
         resid = np.abs(binary_entropy(binary_entropy_inverse(y)) - y)
         assert resid.max() <= 1e-12
+
+    def test_matches_bisection_on_grid(self):
+        y = np.linspace(0.0, 1.0 - 1e-6, 100_001)
+        assert np.max(np.abs(binary_entropy_inverse(y) - _bisect_inverse(y))) <= 1e-12
+
+    @given(st.floats(min_value=0.0, max_value=1.0 - 1e-6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_property(self, y):
+        assert abs(binary_entropy_inverse(y) - float(_bisect_inverse(y))) <= 1e-12
+
+    @pytest.mark.parametrize("y", [
+        np.logspace(-300.0, -1.0, 100_001),     # x -> 1, where h' diverges
+        1.0 - np.logspace(-16.0, -1.0, 100_001),  # x -> 0, where h' vanishes
+        np.linspace(0.0, 1.0, 100_001),
+    ], ids=["y-to-0", "y-to-1", "uniform"])
+    def test_residual_at_double_precision(self, y):
+        # the bisection reference reaches 1.2e-14 on these grids
+        resid = np.abs(binary_entropy(binary_entropy_inverse(y)) - y)
+        assert resid.max() <= 1e-13
+
+
+@pytest.mark.parametrize("func,in_domain", [
+    (binary_entropy, lambda v: abs(v) <= 1.0 + DOMAIN_ATOL),
+    (binary_entropy_derivative, lambda v: abs(v) < 1.0),
+    (binary_entropy_inverse, lambda v: -DOMAIN_ATOL <= v <= 1.0 + DOMAIN_ATOL),
+], ids=["h", "h-prime", "g"])
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@settings(max_examples=300, deadline=None)
+def test_finite_value_or_domain_error(func, in_domain, v):
+    # NaN is outside every domain: it must raise, never become "0 bits"
+    if in_domain(v):
+        assert math.isfinite(func(v))
+    else:
+        with pytest.raises(DomainError):
+            func(v)
 
 
 class TestDerivative:
