@@ -53,6 +53,34 @@ GOLDEN = {
          "--efficiency", "0.8", "--format", "json"],
         "f4d5f7dc82065c9778cecebc3a4f28879ccf8b971474eede2706b0026f17fb53",
     ),
+    # large enough to span several write chunks of the table emitter
+    "correct-search-lattice-csv": (
+        ["correct-search", "--theta-m", "37.3", "--grid", "2.5,5"],
+        "ee423515803dde2edf59c89ce48d627a558794b92fffaf72ce5fec64e437229e",
+    ),
+    "correct-search-lattice-json": (
+        ["correct-search", "--theta-m", "37.3", "--grid", "2.5,5", "--format", "json"],
+        "f0bdbad08e05fe49237abba489038221c7dfa07430da1a5513cf488f932f79b8",
+    ),
+    "boundary-5001-csv": (
+        ["boundary", "--samples", "5001"],
+        "33f194e301bf8809993823f4c91bd69dde08e291c43a2583fccbe58db3a40106",
+    ),
+    "boundary-5001-json": (
+        ["boundary", "--samples", "5001", "--format", "json"],
+        "19d3b58ff279e218eb517ef4fe0fec1f5a3bbe6a3fea0e49c7374cb31e16ed5d",
+    ),
+    # float counts in CSV
+    "simulate-exact-efficiency": (
+        ["simulate", "--mode", "exact", "--efficiency", "0.7"],
+        "2f5d8d3a5f0380e1c6529f71e83c980b800a33a2864c91dd0b1f8d5251f0aae9",
+    ),
+    # ints (shots, seed) and booleans in JSON
+    "sweep-multinomial-json": (
+        ["sweep", "--theta", "10,45,80", "--mode", "multinomial", "--shots", "3000",
+         "--seed", "4", "--format", "json"],
+        "67ef2babd6b7132f8896c0d2666d6d315691f683c3e3fc46fd5b49686aa5f031",
+    ),
 }
 
 
@@ -62,3 +90,16 @@ def test_output_hash_is_pinned(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", [
+    "sweep-poisson-json", "correct-search-lattice-csv", "boundary-5001-json",
+    "simulate-exact-efficiency",
+])
+def test_stdout_matches_out_file(name, tmp_path, capsys):
+    argv, _ = GOLDEN[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
