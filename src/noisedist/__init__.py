@@ -35,7 +35,6 @@ from .bounds import (
     OracleReport,
     boundary_curve,
     boundary_disturbance,
-    boundary_to_csv,
     c_ab,
     check_bounds,
     correction_grid_search,
@@ -46,7 +45,6 @@ from .bounds import (
     optimal_correction,
     pure_state_projection,
     signed_boundary_distance,
-    surface_to_csv,
     tight_value,
     variational_f,
     variational_solver_state,

@@ -75,7 +75,7 @@ class PureState:
 
     def __post_init__(self):
         n = self.direction.norm()
-        if abs(n - 1.0) > UNIT_ATOL:
+        if not abs(n - 1.0) <= UNIT_ATOL:
             raise ValidationError(
                 f"pure state requires a unit Bloch vector; |r| = {n!r}"
             )
@@ -117,7 +117,7 @@ class Observable:
 
     def __post_init__(self):
         n = self.axis.norm()
-        if abs(n - 1.0) > UNIT_ATOL:
+        if not abs(n - 1.0) <= UNIT_ATOL:
             raise ValidationError(f"observable requires a unit axis; |axis| = {n!r}")
 
     def eigenstate(self, outcome: int) -> PureState:
@@ -137,6 +137,8 @@ SIGMA_Z = Observable(BlochVector(0.0, 0.0, 1.0))
 def polar_observable(theta: float) -> Observable:
     """Spin along (0, sin(theta), cos(theta)): the y-z-plane measurement axis
     at polar angle theta (radians) from +z."""
+    if not math.isfinite(theta):
+        raise ValidationError(f"polar angle must be finite, got {theta!r}")
     return Observable(BlochVector(0.0, math.sin(theta), math.cos(theta)))
 
 

@@ -9,8 +9,6 @@ g[N]^2 + g[D]^2 above 1 are prohibited, below 1 allowed but not optimal.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,7 +55,7 @@ def optimal_correction(m_axis, b: Observable) -> CorrectionMap:
         m_axis = m_axis.axis
     if not isinstance(m_axis, BlochVector):
         raise ValidationError(f"m_axis must be a BlochVector, got {type(m_axis).__name__}")
-    if abs(m_axis.norm() - 1.0) > UNIT_ATOL:
+    if not abs(m_axis.norm() - 1.0) <= UNIT_ATOL:
         raise ValidationError(f"m_axis must be unit-norm, |m| = {m_axis.norm()!r}")
     plus, minus = b.eigenstates()
     if b.axis.dot(m_axis) >= 0.0:
@@ -507,26 +505,3 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
         route_max_diff=float(np.max(np.abs(sums - boundary_sums))),
         samples=int(samples),
     )
-
-
-def boundary_to_csv(curve: BoundaryCurve) -> str:
-    """Serialize a boundary curve with header theta_deg,N,D."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_deg", "N", "D"])
-    for t, n, d in zip(curve.theta, curve.noise, curve.disturbance):
-        writer.writerow([str(math.degrees(t)), str(float(n)), str(float(d))])
-    return buf.getvalue()
-
-
-def surface_to_csv(result: GridSearchResult) -> str:
-    """Serialize a grid-search surface with header vartheta_deg,phi_deg,D
-    in row-major lattice order."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["vartheta_deg", "phi_deg", "D"])
-    for i, vt in enumerate(result.varthetas):
-        for j, p in enumerate(result.phis):
-            writer.writerow([str(math.degrees(vt)), str(math.degrees(p)),
-                             str(float(result.surface[i, j]))])
-    return buf.getvalue()

@@ -10,9 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import contextlib
 import math
 import os
 import sys
@@ -30,7 +28,6 @@ from .bounds import (
     ensemble_boundary_oracle,
     maassen_uffink_compare,
     optimal_correction,
-    surface_to_csv,
     tight_value,
     variational_f,
 )
@@ -46,6 +43,7 @@ from .entropy import (
     theory_noise,
 )
 from .errors import NoiseDistError
+from .tables import write_table
 
 ENV_OUTDIR = "NOISEDIST_OUTDIR"
 
@@ -61,21 +59,19 @@ _MODES_SIM = ("exact", "multinomial", "poisson")
 _CORRECTIONS = ("none", "optimal", "custom")
 _FORMATS = ("csv", "json")
 
+#: Size caps, checked arithmetically before anything is allocated: points of
+#: a --theta grid, and cells of a correct-search lattice or boundary samples.
+MAX_THETA_POINTS = 1_000_000
+MAX_SURFACE_CELLS = 10_000_000
+
 SWEEP_CSV_HEADER = "theta_deg,N,D0,Dcorr,sum_ND,tight_value,general_ok,tight_ok"
 BOUNDARY_CSV_HEADER = "theta_deg,N,D,mu_line_D,tight_value"
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
-def _fmt_bool(value) -> str:
-    return "true" if value else "false"
-
-
 def parse_theta_spec(text: str) -> list[float]:
     """Parse a theta grid: comma-separated values and start:stop:step ranges
-    (inclusive of both ends), all in degrees. Every number must be finite."""
+    (inclusive of both ends), all in degrees. Every number must be finite,
+    and the grid may hold at most MAX_THETA_POINTS points."""
     values: list[float] = []
     for token in str(text).split(","):
         token = token.strip()
@@ -88,10 +84,15 @@ def parse_theta_spec(text: str) -> list[float]:
             start, stop, step = (_finite_float(p) for p in parts)
             if step <= 0 or stop < start:
                 raise ValueError(f"invalid grid range {token!r}")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            span = (stop - start) / step + 1e-9
+            if not span < MAX_THETA_POINTS - len(values):
+                raise ValueError(f"grid range {token!r} exceeds {MAX_THETA_POINTS} points")
+            count = int(math.floor(span)) + 1
             values.extend(start + k * step for k in range(count))
         else:
             values.append(_finite_float(token))
+        if len(values) > MAX_THETA_POINTS:
+            raise ValueError(f"theta grid exceeds {MAX_THETA_POINTS} points")
     return values
 
 
@@ -209,17 +210,28 @@ def resolve_out_path(out: str | None) -> Path | None:
     return path
 
 
-def _emit(text: str, out: str | None, parser: argparse.ArgumentParser) -> None:
+@contextlib.contextmanager
+def _output(out: str | None, parser: argparse.ArgumentParser):
+    """The output stream: the --out file, or stdout. Enter it only after all
+    validation and computation, so a usage error leaves no file behind. A
+    write that fails removes the partial file and exits 2."""
     path = resolve_out_path(out)
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        stream = open(path, "w", encoding="utf-8")
     except OSError as exc:
         parser.error(f"cannot write output path {path}: {exc}")
+    try:
+        with stream:
+            yield stream
+    except BaseException as exc:
+        path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            parser.error(f"cannot write output path {path}: {exc}")
+        raise
 
 
 def _parse_target(kind, target_spec, parser):
@@ -291,6 +303,8 @@ def run_sweep(opt, parser) -> int:
         parser.error(str(exc))
     if not thetas:
         parser.error("empty theta grid")
+    if opt.tolerance is not None and opt.tolerance < 0.0:
+        parser.error(f"--tolerance must be >= 0, got {opt.tolerance!r}")
     target = _parse_target(correction, opt.target, parser)
     # analytic rows are exact; sampled rows get a 3-sigma-style slack
     tolerance = opt.tolerance
@@ -298,48 +312,27 @@ def run_sweep(opt, parser) -> int:
         tolerance = 1e-9 if mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
     points = [_sweep_point(t, mode, correction, target, opt.shots, opt.seed) for t in thetas]
+    n = [float(p.noise) for p, _ in points]
+    d0 = [float(d0) for _, d0 in points]
+    dcorr = [float(p.disturbance) for p, _ in points]
+    sum_nd = [a + b for a, b in zip(n, dcorr)]
     # the checks of check_bounds, with one inverse-entropy call for the grid
     c = c_ab(SIGMA_Z, SIGMA_Y)
-    tight = tight_value([p.noise for p, _ in points], [p.disturbance for p, _ in points])
-    rows = [
-        {
-            "theta_deg": float(theta_deg),
-            "N": p.noise,
-            "D0": d0,
-            "Dcorr": p.disturbance,
-            "sum_ND": p.noise + p.disturbance,
-            "tight_value": t_val,
-            "general_ok": p.noise + p.disturbance >= c - tolerance and p.noise + d0 >= c - tolerance,
-            "tight_ok": t_val <= 1.0 + tolerance,
-        }
-        for theta_deg, (p, d0), t_val in zip(thetas, points, tight.tolist())
-    ]
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER.split(","))
-        for r in rows:
-            writer.writerow([
-                _fmt(r["theta_deg"]), _fmt(r["N"]), _fmt(r["D0"]), _fmt(r["Dcorr"]),
-                _fmt(r["sum_ND"]), _fmt(r["tight_value"]),
-                _fmt_bool(r["general_ok"]), _fmt_bool(r["tight_ok"]),
-            ])
-        text = buf.getvalue()
-    else:
-        payload = {
-            "config": {
-                "mode": mode,
-                "correction": opt.correction if opt.correction != "custom"
-                else f"custom({opt.target})",
-                "shots": int(opt.shots),
-                "seed": int(opt.seed),
-                "tolerance": tolerance,
-            },
-            "rows": rows,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, opt.out, parser)
+    tight = tight_value(n, dcorr).tolist()
+    columns = dict(zip(SWEEP_CSV_HEADER.split(","), [
+        thetas, n, d0, dcorr, sum_nd, tight,
+        [s >= c - tolerance and a + b >= c - tolerance for s, a, b in zip(sum_nd, n, d0)],
+        [t <= 1.0 + tolerance for t in tight],
+    ]))
+    config = {
+        "mode": mode,
+        "correction": correction if correction != "custom" else f"custom({opt.target})",
+        "shots": int(opt.shots),
+        "seed": int(opt.seed),
+        "tolerance": tolerance,
+    }
+    with _output(opt.out, parser) as stream:
+        write_table(stream, columns, fmt, meta={"config": config})
     return EXIT_OK
 
 
@@ -356,6 +349,11 @@ def run_correct_search(opt, parser) -> int:
         steps = steps * 2
     if len(steps) != 2 or steps[0] <= 0 or steps[1] <= 0:
         parser.error(f"invalid grid steps {opt.grid!r}")
+    # the lengths np.arange will give, capped so a tiny step cannot overflow
+    sizes = [math.ceil(min((180.0 + step / 2) / step, MAX_SURFACE_CELLS + 1.0))
+             for step in steps]
+    if sizes[0] * sizes[1] > MAX_SURFACE_CELLS:
+        parser.error(f"--grid {opt.grid} exceeds {MAX_SURFACE_CELLS} lattice cells")
     varthetas_deg = np.arange(0.0, 180.0 + steps[0] / 2, steps[0])
     phis_deg = np.arange(0.0, 180.0 + steps[1] / 2, steps[1])
 
@@ -371,20 +369,17 @@ def run_correct_search(opt, parser) -> int:
     )
 
     if fmt == "csv":
-        text = surface_to_csv(result)
+        # the lattice axes as they went into the kernel, back in degrees
+        axes = np.degrees(result.varthetas), np.degrees(result.phis)
+        meta = None
     else:
-        payload = {
-            "theta_m_deg": float(opt.theta_m),
-            "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min},
-            "surface": [
-                {"vartheta_deg": float(vd), "phi_deg": float(pd),
-                 "D": float(result.surface[i, j])}
-                for i, vd in enumerate(varthetas_deg)
-                for j, pd in enumerate(phis_deg)
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, opt.out, parser)
+        axes = varthetas_deg, phis_deg
+        meta = {"theta_m_deg": float(opt.theta_m),
+                "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
+    columns = {"vartheta_deg": axes[0][:, None], "phi_deg": axes[1][None, :],
+               "D": result.surface}
+    with _output(opt.out, parser) as stream:
+        write_table(stream, columns, fmt, meta=meta, rows_key="surface")
     return EXIT_OK
 
 
@@ -395,36 +390,15 @@ def run_boundary(opt, parser) -> int:
     fmt = _check_choice(parser, "format", opt.format, _FORMATS)
     if opt.samples < 2:
         parser.error(f"--samples must be >= 2, got {opt.samples}")
+    if opt.samples > MAX_SURFACE_CELLS:
+        parser.error(f"--samples must be <= {MAX_SURFACE_CELLS}, got {opt.samples}")
     curve = boundary_curve(opt.samples)
-    tight = tight_value(curve.noise, curve.disturbance)
-    mu_line = 1.0 - curve.noise
-
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(BOUNDARY_CSV_HEADER.split(","))
-        for i in range(curve.theta.size):
-            writer.writerow([
-                _fmt(math.degrees(curve.theta[i])), _fmt(curve.noise[i]),
-                _fmt(curve.disturbance[i]), _fmt(mu_line[i]), _fmt(tight[i]),
-            ])
-        text = buf.getvalue()
-    else:
-        payload = {
-            "samples": int(opt.samples),
-            "rows": [
-                {
-                    "theta_deg": math.degrees(float(curve.theta[i])),
-                    "N": float(curve.noise[i]),
-                    "D": float(curve.disturbance[i]),
-                    "mu_line_D": float(mu_line[i]),
-                    "tight_value": float(tight[i]),
-                }
-                for i in range(curve.theta.size)
-            ],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, opt.out, parser)
+    columns = dict(zip(BOUNDARY_CSV_HEADER.split(","), [
+        np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
+        tight_value(curve.noise, curve.disturbance),
+    ]))
+    with _output(opt.out, parser) as stream:
+        write_table(stream, columns, fmt, meta={"samples": int(opt.samples)})
     return EXIT_OK
 
 
@@ -448,7 +422,9 @@ def run_simulate(opt, parser) -> int:
     table = simulate_intensities(
         m, corr_map, family, opt.shots, opt.seed, mode,
         efficiency=opt.efficiency, correction_label=corr_label)
-    _emit(table.to_csv() if fmt == "csv" else table.to_json(), opt.out, parser)
+    text = table.to_csv() if fmt == "csv" else table.to_json()
+    with _output(opt.out, parser) as stream:
+        stream.write(text)
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ order of evaluation.
 
 from __future__ import annotations
 
-import csv
 import io
+import itertools
 import json
 import math
 import struct
@@ -34,6 +34,7 @@ from .bloch import (
 )
 from .entropy import JointTable, NDPoint, conditional_entropy, sequential_joint
 from .errors import EstimationError, ValidationError
+from .tables import write_table
 
 FAMILIES = ("A", "B")
 MODES = ("exact", "multinomial", "poisson")
@@ -41,6 +42,10 @@ MODES = ("exact", "multinomial", "poisson")
 _FAMILY_CODE = {"A": 0, "B": 1}
 
 CSV_HEADER = "family,input,mu,beta_prime,count"
+
+# input, mu and beta_prime of the eight cells, in counts.ravel() order
+_CELL_OUTCOMES = dict(zip(("input", "mu", "beta_prime"),
+                          map(list, zip(*itertools.product(OUTCOMES, repeat=3)))))
 
 
 def _float_bits(*values) -> list[int]:
@@ -56,6 +61,11 @@ def _stream(seed: int, family: str, input_index: int, measurement: Observable,
     key += _float_bits(*post_map.target_plus.direction.as_tuple())
     key += _float_bits(*post_map.target_minus.direction.as_tuple())
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; booleans are not counts or seeds."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def polar_angle(obs: Observable) -> float:
@@ -101,40 +111,34 @@ class IntensityTable:
     def theta_deg(self) -> float:
         return math.degrees(self.theta)
 
-    def rows(self):
-        """(input, mu, beta_prime, count) in fixed (+1, -1) storage order."""
-        for i, inp in enumerate(OUTCOMES):
-            for j, mu in enumerate(OUTCOMES):
-                for k, bp in enumerate(OUTCOMES):
-                    yield (inp, mu, bp, self.counts[i, j, k])
-
-    def _format_count(self, value: float):
-        return value if self.mode == "exact" else int(value)
-
-    def to_csv(self) -> str:
+    def _write(self, fmt: str) -> str:
+        """The table as CSV or JSON text; counts are integers in sampled
+        modes and real expected values in exact mode."""
+        counts = self.counts.ravel().tolist()
+        if self.mode != "exact":
+            counts = list(map(int, counts))
+        columns = {**_CELL_OUTCOMES, "count": counts}
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for inp, mu, bp, count in self.rows():
-            writer.writerow([self.family, inp, mu, bp, self._format_count(count)])
+        if fmt == "csv":
+            write_table(buf, {"family": [self.family] * len(counts), **columns}, fmt)
+        else:
+            meta = {
+                "family": self.family,
+                "theta_deg": self.theta_deg,
+                "shots": self.shots,
+                "seed": self.seed,
+                "mode": self.mode,
+                "correction": self.correction,
+                "efficiency": self.efficiency,
+            }
+            write_table(buf, columns, fmt, meta=meta, rows_key="counts")
         return buf.getvalue()
 
+    def to_csv(self) -> str:
+        return self._write("csv")
+
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "theta_deg": self.theta_deg,
-            "shots": self.shots,
-            "seed": self.seed,
-            "mode": self.mode,
-            "correction": self.correction,
-            "efficiency": self.efficiency,
-            "counts": [
-                {"input": inp, "mu": mu, "beta_prime": bp,
-                 "count": self._format_count(count)}
-                for inp, mu, bp, count in self.rows()
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return self._write("json")
 
     @classmethod
     def from_json(cls, text: str) -> "IntensityTable":
@@ -175,8 +179,10 @@ def simulate_intensities(
     `shots` trials (then thins each cell binomially if efficiency < 1);
     "poisson" draws every cell independently with mean shots * efficiency * p.
     """
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
+    if not _is_integer(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
+    if not _is_integer(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     if family not in FAMILIES:

@@ -1,0 +1,121 @@
+"""The one table emitter behind every CSV and JSON output.
+
+`write_table` formats a table column by column (one `.tolist()` per column,
+then `repr` per float) and writes it to the output stream in bounded chunks,
+so no output is ever held in memory whole. Its bytes equal what `csv.writer`
+(floats as `repr`, booleans as `true`/`false`) and
+`json.dumps(payload, indent=2, sort_keys=True) + "\\n"` produce for the same
+table.
+
+A table is either a list of rows (columns of equal length: 1-D arrays, or
+lists of Python scalars of one type) or a lattice (2-D arrays, rows in
+row-major cell order). A lattice column may have
+shape (n, 1), one value per lattice row, or (1, m), one value per lattice
+column; each such value is formatted once, not once per cell.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+#: Rows per write of a 1-D table; a lattice is written one lattice row at a time.
+CHUNK_ROWS = 4096
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _format(values, fmt: str) -> list[str]:
+    """The cell strings of one column (an array or a list), in order."""
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    kind = type(items[0]) if items else float
+    if kind is float:
+        text = list(map(float.__repr__, items))
+        if fmt == "json" and not _JSON_NON_FINITE.keys().isdisjoint(text):
+            text = [_JSON_NON_FINITE.get(t, t) for t in text]
+        return text
+    if kind is bool:
+        return ["true" if v else "false" for v in items]
+    if kind is int:
+        return list(map(int.__repr__, items))
+    return list(map(json.dumps if fmt == "json" else str, items))
+
+
+def _row_chunks(columns: list, fmt: str):
+    """Lists of cell strings, one list per column, chunk by chunk."""
+    if all(isinstance(c, list) or c.ndim == 1 for c in columns):
+        n = len(columns[0])
+        if any(len(c) != n for c in columns):
+            raise ValueError("table columns differ in length")
+        for start in range(0, n, CHUNK_ROWS):
+            yield [_format(c[start:start + CHUNK_ROWS], fmt) for c in columns]
+        return
+    n_rows, n_cols = np.broadcast_shapes(*(c.shape for c in columns))
+    if n_cols == 0:
+        return
+
+    # axis columns are formatted once: one string per lattice row, repeated
+    # along it, or one list per lattice column, shared by every row
+    def cells_of(c):
+        if c.shape[1] == 1:
+            strings = _format(np.broadcast_to(c, (n_rows, 1)), fmt)
+            return lambda i: [strings[i]] * n_cols
+        if c.shape[0] == 1:
+            strings = _format(c, fmt)
+            return lambda i: strings
+        return lambda i: _format(c[i], fmt)
+
+    getters = [cells_of(np.atleast_2d(c)) for c in columns]
+    for i in range(n_rows):
+        yield [get(i) for get in getters]
+
+
+def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
+                rows_key: str = "rows") -> None:
+    """Write a table to the text stream `stream`.
+
+    columns maps each column name to its values, in CSV column order; a
+    lattice column must be an array, a row column may also be a list. CSV
+    output is a header line and one line per row. JSON output is the object
+    `meta` plus `rows_key`, a list of one object per row, with every object's
+    keys sorted. CSV text cells are written unquoted, so they must hold no
+    comma, quote or line break.
+    """
+    names = list(columns)
+    arrays = [v if isinstance(v, list) else np.asarray(v) for v in columns.values()]
+    if fmt == "csv":
+        stream.write(",".join(names) + "\n")
+        for cells in _row_chunks(arrays, fmt):
+            stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        return
+    if fmt != "json":
+        raise ValueError(f"unknown table format {fmt!r}")
+
+    order = sorted(range(len(names)), key=names.__getitem__)
+    # one row object, at the nesting depth of a top-level list's items
+    fields = ",\n".join("      " + json.dumps(names[k]).replace("%", "%%") + ": %s"
+                         for k in order)
+    template = "    {\n" + fields + "\n    }"
+    top = dict(meta or {})
+    top[rows_key] = None
+    stream.write("{\n")
+    for n, key in enumerate(sorted(top)):
+        stream.write(f"  {json.dumps(key)}: ")
+        if key == rows_key:
+            _write_json_rows(stream, template, [arrays[k] for k in order])
+        elif isinstance(top[key], (dict, list)):
+            stream.write(json.dumps(top[key], indent=2, sort_keys=True).replace("\n", "\n  "))
+        else:  # a scalar reads the same without indent
+            stream.write(json.dumps(top[key]))
+        stream.write(",\n" if n < len(top) - 1 else "\n")
+    stream.write("}\n")
+
+
+def _write_json_rows(stream, template: str, arrays: list[np.ndarray]) -> None:
+    opened = False
+    for cells in _row_chunks(arrays, "json"):
+        stream.write(",\n" if opened else "[\n")
+        stream.write(",\n".join(map(template.__mod__, zip(*cells))))
+        opened = True
+    stream.write("\n  ]" if opened else "[]")

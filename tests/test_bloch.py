@@ -13,6 +13,7 @@ from noisedist import (
     SIGMA_Z,
     BlochVector,
     CorrectionMap,
+    NoiseDistError,
     Observable,
     ProjectiveInstrument,
     PureState,
@@ -20,6 +21,7 @@ from noisedist import (
     apply_instrument,
     born_probability,
     eigenstates,
+    noise,
     polar_observable,
 )
 from noisedist.bloch import OUTCOMES
@@ -188,3 +190,30 @@ def test_sigma_x_axis():
 def test_observables_are_immutable_and_hashable():
     seen = {SIGMA_Y, SIGMA_Z, Observable(BlochVector(0.0, 1.0, 0.0))}
     assert len(seen) == 2
+
+
+class TestNonFiniteInput:
+    """NaN fails every `abs(n - 1) > atol` test, so the unit-norm checks are
+    written as `not abs(n - 1) <= atol`."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_unit_norm_checks_reject_non_finite(self, bad):
+        with pytest.raises(ValidationError):
+            PureState(BlochVector(0.0, bad, 1.0))
+        with pytest.raises(ValidationError):
+            Observable(BlochVector(bad, 0.0, 0.0))
+
+    def test_nan_axis_is_not_zero_bits_of_noise(self):
+        with pytest.raises(ValidationError):
+            noise(ProjectiveInstrument(polar_observable(math.nan)), SIGMA_Z)
+
+    @given(theta=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=300)
+    def test_polar_observable_is_valid_or_raises(self, theta):
+        try:
+            obs = polar_observable(theta)
+        except NoiseDistError:
+            assert not math.isfinite(theta)
+            return
+        assert abs(obs.axis.norm() - 1.0) <= 1e-12
+        assert all(math.isfinite(c) for c in obs.axis.as_tuple())

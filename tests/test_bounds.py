@@ -1,6 +1,7 @@
 """Tests for bound evaluation, optimal correction, the tradeoff boundary,
 and the ensemble oracle."""
 
+import io
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from noisedist import (
     binary_entropy,
     boundary_curve,
     boundary_disturbance,
-    boundary_to_csv,
     c_ab,
     check_bounds,
     correction_grid_search,
@@ -34,10 +34,11 @@ from noisedist import (
     polar_observable,
     pure_state_projection,
     signed_boundary_distance,
-    surface_to_csv,
     tight_value,
     variational_f,
 )
+from noisedist.cli import main
+from noisedist.tables import write_table
 
 H_HALF = 0.81127812445913286
 H_SIN45 = 0.6008760366928561
@@ -97,6 +98,8 @@ class TestOptimalCorrection:
             optimal_correction(BlochVector(0.0, 0.0, 0.5), SIGMA_Y)
         with pytest.raises(ValidationError):
             optimal_correction((0.0, 0.0, 1.0), SIGMA_Y)
+        with pytest.raises(ValidationError):
+            optimal_correction(BlochVector(0.0, math.nan, 1.0), SIGMA_Y)
 
 
 class TestGridSearch:
@@ -153,10 +156,16 @@ class TestGridSearch:
 
     def test_csv_export(self):
         res = correction_grid_search(math.radians(50.0), SIGMA_Y, self.COARSE, self.COARSE)
-        lines = surface_to_csv(res).strip().split("\n")
+        buf = io.StringIO()
+        write_table(buf, {"vartheta_deg": np.degrees(res.varthetas)[:, None],
+                          "phi_deg": np.degrees(res.phis)[None, :], "D": res.surface}, "csv")
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "vartheta_deg,phi_deg,D"
         assert len(lines) == 1 + 9 * 9
         assert lines[1].startswith("0.0,0.0,")
+        # row-major: the second line is the next phi of the first vartheta
+        assert lines[2].startswith("0.0,22.5,")
+        assert lines[1 + 9].startswith("22.5,0.0,")
 
 
 class TestCheckBounds:
@@ -327,11 +336,13 @@ class TestBoundaryCurve:
     def test_points_iterator(self):
         assert len(boundary_curve(11).points()) == 11
 
-    def test_csv_export(self):
-        lines = boundary_to_csv(boundary_curve(3)).strip().split("\n")
-        assert lines[0] == "theta_deg,N,D"
-        assert lines[1] == "0.0,0.0,1.0"
-        assert lines[-1] == "90.0,1.0,0.0"
+    def test_csv_export(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["boundary", "--samples", "3", "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == "theta_deg,N,D,mu_line_D,tight_value"
+        assert lines[1] == "0.0,0.0,1.0,1.0,1.0"
+        assert lines[-1] == "90.0,1.0,0.0,0.0,1.0"
 
 
 class TestEnsembles:

@@ -9,10 +9,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from noisedist import IntensityTable
+import noisedist.bounds
+import noisedist.cli
+from noisedist import IntensityTable, NoiseDistError
 from noisedist.cli import (
     DEFAULT_THETA_SPEC,
     ENV_OUTDIR,
+    MAX_SURFACE_CELLS,
+    MAX_THETA_POINTS,
     SWEEP_CSV_HEADER,
     main,
     parse_theta_spec,
@@ -58,6 +62,17 @@ class TestThetaSpec:
             parse_theta_spec("0:inf:1")
         with pytest.raises(ValueError):
             parse_theta_spec("nan:90:10")
+
+    def test_point_cap_is_exact(self):
+        assert len(parse_theta_spec(f"0:{MAX_THETA_POINTS - 1}:1")) == MAX_THETA_POINTS
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_theta_spec(f"0:{MAX_THETA_POINTS}:1")
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_theta_spec(f"5,0:{MAX_THETA_POINTS - 1}:1")
+
+    def test_overflowing_range_is_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            parse_theta_spec("-1e308:1e308:1e-300")
 
 
 class TestSweep:
@@ -125,6 +140,13 @@ class TestSweep:
         run_usage_error(["sweep", "--correction", "custom"])  # missing --target
         run_usage_error(["sweep", "--shots", "0"])
         run_usage_error(["sweep", "--seed", "-3"])
+
+    def test_negative_tolerance_rejected(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        run_usage_error(["sweep", "--theta", "45", "--tolerance", "-1", "--out", str(out)])
+        assert not out.exists()
+        run_ok(["sweep", "--theta", "45", "--tolerance", "0", "--out", str(out)])
+        assert out.exists()
 
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"
@@ -350,3 +372,73 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("allocation or kernel reached past a size cap")
+
+
+class TestSizeCaps:
+    """Each cap fires before its allocation: the allocator or kernel behind it
+    is patched to fail, so the giant request is never made."""
+
+    def test_theta_grid_cap(self, tmp_path, monkeypatch):
+        # parse_theta_spec would fill a list of 1e18 floats with range()
+        monkeypatch.setattr(noisedist.cli, "range", _must_not_run, raising=False)
+        monkeypatch.setattr(noisedist.cli, "_sweep_point", _must_not_run)
+        out = tmp_path / "out"
+        run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--out", str(out)])
+        assert not out.exists()
+
+    def test_surface_cell_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(np, "arange", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "correction_grid_search", _must_not_run)
+        monkeypatch.setattr(noisedist.bounds, "disturbance_surface", _must_not_run)
+        out = tmp_path / "out"
+        for grid in ("1e-4", "1e-300", "0.05", "0.1,0.001"):
+            run_usage_error(["correct-search", "--grid", grid, "--out", str(out)])
+        assert not out.exists()
+
+    def test_fine_grid_stays_allowed(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(theta_m, b, varthetas, phis):
+            raise Reached(varthetas.size * phis.size)
+
+        monkeypatch.setattr(noisedist.cli, "correction_grid_search", stop)
+        with pytest.raises(Reached) as reached:
+            main(["correct-search", "--grid", "0.1"])
+        assert reached.value.args[0] == 1801 * 1801 <= MAX_SURFACE_CELLS
+
+    def test_boundary_sample_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(noisedist.cli, "boundary_curve", _must_not_run)
+        out = tmp_path / "out"
+        run_usage_error(["boundary", "--samples", str(10**12), "--out", str(out)])
+        run_usage_error(["boundary", "--samples", str(MAX_SURFACE_CELLS + 1), "--out", str(out)])
+        assert not out.exists()
+
+
+class TestOutputFile:
+    def test_failed_computation_creates_no_file(self, tmp_path, monkeypatch):
+        def fail(samples):
+            raise NoiseDistError("kernel failed")
+
+        monkeypatch.setattr(noisedist.cli, "boundary_curve", fail)
+        out = tmp_path / "curve.csv"
+        run_usage_error(["boundary", "--out", str(out)])
+        assert not out.exists()
+
+    def test_write_error_removes_partial_file(self, tmp_path, monkeypatch, capsys):
+        real = noisedist.cli.write_table
+
+        def disk_full(stream, *args, **kwargs):
+            real(stream, *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(noisedist.cli, "write_table", disk_full)
+        out = tmp_path / "curve.csv"
+        run_usage_error(["boundary", "--samples", "5000", "--out", str(out)])
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and "Traceback" not in err

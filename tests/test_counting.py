@@ -121,6 +121,24 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate_intensities(m, None, "A", 10, 0, "exact", efficiency=0.0)
 
+    @pytest.mark.parametrize("shots", [True, False, 10.0, np.float64(10.0)])
+    def test_non_integer_shots_rejected(self, shots):
+        with pytest.raises(ValidationError):
+            simulate_intensities(polar_observable(0.3), None, "A", shots, 0, "multinomial")
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), 2.0, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            simulate_intensities(polar_observable(0.3), None, "A", 10, seed, "multinomial")
+
+    @pytest.mark.parametrize("seed", [2, np.int64(2), np.uint32(2)])
+    def test_integer_seeds_accepted_and_equal(self, seed):
+        m = polar_observable(0.3)
+        table = simulate_intensities(m, None, "A", np.int32(10), seed, "multinomial")
+        reference = simulate_intensities(m, None, "A", 10, 2, "multinomial")
+        assert np.array_equal(table.counts, reference.counts)
+        assert type(table.seed) is int and type(table.shots) is int
+
     def test_polar_angle_round_trip(self):
         for deg in (0.0, 50.0, 90.0, 180.0):
             assert math.degrees(polar_angle(polar_observable(math.radians(deg)))) == (
