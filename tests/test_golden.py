@@ -1,6 +1,6 @@
-"""Golden output hashes: the SHA-256 of each CLI output file for fixed
-configurations. A change that alters any output byte must update the hash
-here and say why in CHANGES.md."""
+"""Golden output hashes: the SHA-256 of each CLI output file, and of the
+`verify` report on stdout, for fixed configurations. A change that alters
+any output byte must update the hash here and say why in CHANGES.md."""
 
 import hashlib
 
@@ -81,6 +81,42 @@ GOLDEN = {
          "--seed", "4", "--format", "json"],
         "67ef2babd6b7132f8896c0d2666d6d315691f683c3e3fc46fd5b49686aa5f031",
     ),
+    "sweep-analytic-none": (
+        ["sweep", "--correction", "none"],
+        "44eb52a6aa886ea00908e271d13c6809a1d2ec266af102a1dbb0325698b92a7e",
+    ),
+    # 721 rows per correction kind, a quarter degree apart
+    "sweep-fine-none": (
+        ["sweep", "--theta", "0:180:0.25", "--correction", "none"],
+        "75c8c021f8d4a65ca66e4b3b89063411863ad95bd59a5b4be34de739ccddecc9",
+    ),
+    "sweep-fine-optimal": (
+        ["sweep", "--theta", "0:180:0.25", "--correction", "optimal"],
+        "5c3e10ef767887f60605f2ae93370af05f8a4910e3539037b297f64a2b3d44ac",
+    ),
+    "sweep-fine-custom": (
+        ["sweep", "--theta", "0:180:0.25", "--correction", "custom",
+         "--target", "37.5,121.25"],
+        "a944295332f409f54ecead6478d1ed1cfa68bd9665bd7119a13596852dba3c52",
+    ),
+    "simulate-exact-custom-a": (
+        ["simulate", "--mode", "exact", "--family", "A", "--correction", "custom",
+         "--target", "20,70", "--efficiency", "0.7"],
+        "fdf471a9ecea33a9895c4903508cdc16f01c203575055aa20f5f3650d53f6fe1",
+    ),
+}
+
+# (argv, exit code, SHA-256 of stdout) of the verify battery; the second is
+# its negative control, which must fail
+VERIFY_GOLDEN = {
+    "verify-seed-4": (
+        ["verify", "--trials", "10000", "--shots", "100000", "--seed", "4"], 0,
+        "5ff2e1bb51ce35a92ff14b1bd503ba6a7871f3f1f7c41323c79d72576726ab9c",
+    ),
+    "verify-negative-control": (
+        ["verify", "--trials", "0", "--seed", "4", "--perturb-disturbance", "0.05"], 1,
+        "6036884a40d6dae9caddf4c2ab9edc019bcbbb000ce2ddf55dd507999e550e65",
+    ),
 }
 
 
@@ -90,6 +126,13 @@ def test_output_hash_is_pinned(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_GOLDEN))
+def test_verify_report_hash_is_pinned(name, capsys):
+    argv, code, digest = VERIFY_GOLDEN[name]
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", [
