@@ -20,9 +20,7 @@ from .bloch import (
     Observable,
     ProjectiveInstrument,
     PureState,
-    apply_instrument,
     born_probability,
-    eigenstates,
     polar_observable,
 )
 from .bounds import (
@@ -66,8 +64,10 @@ from .entropy import (
     binary_entropy_inverse,
     conditional_entropy,
     disturbance,
+    disturbance_bits,
+    joint_tables,
     noise,
-    sequential_joint,
+    noise_bits,
     theory_disturbance_optimal,
     theory_disturbance_uncorrected,
     theory_noise,

@@ -4,7 +4,8 @@ measure-and-prepare instruments.
 Every quantity the package computes is a function of inner products of real
 3-vectors, so states are represented as Bloch vectors throughout; no complex
 2x2 matrices (and hence no global-phase convention) are needed. Spin
-observables are +1/-1 valued and labelled by their eigenvalues.
+observables are +1/-1 valued and labelled by their eigenvalues. `born` is
+the Born rule over arrays of such inner products.
 
 All types are immutable values and all operations are pure functions, so
 everything here can be shared freely across concurrent workers.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -142,16 +145,25 @@ def polar_observable(theta: float) -> Observable:
     return Observable(BlochVector(0.0, math.sin(theta), math.cos(theta)))
 
 
-def eigenstates(obs: Observable) -> tuple[PureState, PureState]:
-    return obs.eigenstates()
+def born(overlap):
+    """Born rule for arrays of overlaps r . n of a state's Bloch vector with
+    a measurement axis: (..., 2) holding p(+1) = (1 + r . n)/2 and
+    p(-1) = (1 - r . n)/2. |r . n| may exceed 1 by 1e-12 (the result is
+    clipped to [0, 1]); anything else, NaN included, raises ValidationError.
+    """
+    x = np.asarray(overlap, dtype=float)
+    # written as a negated in-range test so that NaN fails it too
+    if np.any(~(np.abs(x) <= 1.0 + UNIT_ATOL)):
+        raise ValidationError("Bloch overlaps must be finite with |r . n| <= 1")
+    p = 0.5 * (1.0 + x[..., None] * OUTCOMES)
+    # inner products can overshoot [-1, 1] by an ulp
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def born_probability(state: PureState, obs: Observable, outcome: int) -> float:
     """p(outcome) = (1 + outcome * r . axis) / 2 for a sharp measurement."""
     _check_outcome(outcome)
-    p = 0.5 * (1.0 + outcome * state.direction.dot(obs.axis))
-    # inner products can overshoot [-1, 1] by an ulp
-    return min(max(p, 0.0), 1.0)
+    return float(born(state.direction.dot(obs.axis))[OUTCOMES.index(outcome)])
 
 
 @dataclass(frozen=True)
@@ -181,6 +193,11 @@ class CorrectionMap:
         _check_outcome(outcome)
         return self.target_plus if outcome == 1 else self.target_minus
 
+    def overlaps(self, obs: Observable) -> tuple[float, float]:
+        """(target_plus . axis, target_minus . axis) for obs's axis."""
+        return (self.target_plus.direction.dot(obs.axis),
+                self.target_minus.direction.dot(obs.axis))
+
 
 @dataclass(frozen=True)
 class ProjectiveInstrument:
@@ -203,9 +220,3 @@ class ProjectiveInstrument:
     def apply(self, state: PureState, outcome: int) -> tuple[float, PureState]:
         """(outcome probability, emitted state) for one measurement branch."""
         return (self.outcome_probability(state, outcome), self.post_map.target(outcome))
-
-
-def apply_instrument(
-    state: PureState, inst: ProjectiveInstrument, outcome: int
-) -> tuple[float, PureState]:
-    return inst.apply(state, outcome)

@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .bloch import (
-    OUTCOMES,
     SIGMA_Y,
     SIGMA_Z,
     UNIT_ATOL,
@@ -24,15 +23,15 @@ from .bloch import (
     CorrectionMap,
     Observable,
     PureState,
-    born_probability,
     polar_observable,
 )
 from .entropy import (
     NDPoint,
-    _cond_entropy_given_last,
+    _eigen_pair,
     binary_entropy,
     binary_entropy_derivative,
     binary_entropy_inverse,
+    disturbance_bits,
 )
 from .errors import DomainError, ValidationError
 
@@ -68,30 +67,16 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
 
     The instrument measures along (0, sin theta_m, cos theta_m); outcome +1
     is re-prepared as psi(vartheta, phi), outcome -1 as its antipode. Returns
-    the H(B|B') surface with shape (len(varthetas), len(phis)). This is the
-    scalar instrument pipeline vectorized over the lattice, kept to the same
-    arithmetic.
+    the H(B|B') surface with shape (len(varthetas), len(phis)): one
+    disturbance_bits call over the lattice of target overlaps.
     """
     m = polar_observable(theta_m)
-    p_mu_given_beta = np.empty((2, 2))
-    for i, beta in enumerate(OUTCOMES):
-        state = b.eigenstate(beta)
-        for j, mu in enumerate(OUTCOMES):
-            p_mu_given_beta[i, j] = born_probability(state, m, mu)
-
     vt = np.asarray(varthetas, dtype=float)[:, None]
     ph = np.asarray(phis, dtype=float)[None, :]
     bx, by, bz = b.axis.as_tuple()
     # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
     overlap = np.sin(vt) * np.cos(ph) * bx + np.sin(vt) * np.sin(ph) * by + np.cos(vt) * bz
-
-    joint = np.zeros(overlap.shape + (2, 2))
-    for i in range(2):
-        for j, mu in enumerate(OUTCOMES):
-            for k, bp in enumerate(OUTCOMES):
-                p_bp = np.clip(0.5 * (1.0 + bp * mu * overlap), 0.0, 1.0)
-                joint[..., i, k] += 0.5 * p_mu_given_beta[i, j] * p_bp
-    return _cond_entropy_given_last(joint)
+    return disturbance_bits(b.axis.dot(m.axis), _eigen_pair(overlap))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,17 +199,6 @@ def variational_f(theta):
     return float(out) if np.ndim(theta) == 0 else out
 
 
-def _stationarity_ratio_raw(theta):
-    """The f expression without the (0, pi/2) interval restriction; valid
-    wherever sin and cos are nonzero and unsaturated. h' is odd, so this
-    inherits f's symmetry about 0 and pi/2."""
-    arr = np.asarray(theta, dtype=float)
-    s, c = np.sin(arr), np.cos(arr)
-    if np.any(s == 0.0) or np.any(c == 0.0) or np.any(np.abs(s) >= 1.0) or np.any(np.abs(c) >= 1.0):
-        raise DomainError("stationarity ratio undefined at multiples of pi/2")
-    return (binary_entropy_derivative(s) / s) / (binary_entropy_derivative(c) / c)
-
-
 @dataclass(frozen=True)
 class BoundarySolverState:
     """Stationary configuration behind one interior boundary point.
@@ -242,7 +216,11 @@ class BoundarySolverState:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_m", tuple(float(t) for t in self.theta_m))
-        resid = np.abs(_stationarity_ratio_raw(np.array(self.theta_m)) - self.kappa)
+        # f depends on t only through |sin t| and |cos t| (h'(x)/x is even), so
+        # each member folds into [0, pi/2]; multiples of pi/2 land on f's poles
+        t = np.array(self.theta_m)
+        folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
+        resid = np.abs(variational_f(folded) - self.kappa)
         if np.any(resid > 1e-8):
             raise ValidationError(
                 f"stationarity violated: max |f(theta_m) - kappa| = {float(resid.max())!r}"

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, ProjectiveInstrument, polar_observable
+from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, polar_observable
 from .bounds import (
     boundary_curve,
     c_ab,
@@ -36,8 +36,8 @@ from .entropy import (
     NDPoint,
     binary_entropy,
     binary_entropy_inverse,
-    disturbance,
-    noise,
+    disturbance_bits,
+    noise_bits,
     theory_disturbance_optimal,
     theory_disturbance_uncorrected,
     theory_noise,
@@ -262,29 +262,44 @@ def _make_correction(kind, target, m_obs):
 # ---------------------------------------------------------------- sweep
 
 
+def _analytic_sweep(thetas_deg, correction_kind, target):
+    """Exact (N, D0, Dcorr) arrays over a theta grid in degrees, one kernel
+    call per quantity for all angles."""
+    theta = np.radians(thetas_deg)
+    m = (0.0, np.sin(theta), np.cos(theta))  # polar_observable's axis at every angle
+    a_m, b_m = (o.axis.x * m[0] + o.axis.y * m[1] + o.axis.z * m[2] for o in (SIGMA_Z, SIGMA_Y))
+    # without a correction the targets are the measured eigenstates +-m
+    d0 = disturbance_bits(b_m, np.stack([b_m, -b_m], axis=-1))
+    if correction_kind == "none":
+        dcorr = d0
+    elif correction_kind == "optimal":
+        # optimal_correction: mu goes to |mu b> where b . m >= 0, else to |-mu b>
+        b_b = np.where(b_m >= 0.0, 1.0, -1.0) * SIGMA_Y.axis.dot(SIGMA_Y.axis)
+        dcorr = disturbance_bits(b_m, np.stack([b_b, -b_b], axis=-1))
+    else:  # a custom map does not depend on m
+        corr_map, _ = _make_correction(correction_kind, target, None)
+        dcorr = disturbance_bits(b_m, corr_map.overlaps(SIGMA_Y))
+    return noise_bits(a_m), d0, dcorr
+
+
 def _sweep_point(theta_deg, mode, correction_kind, target, shots, seed):
-    """(NDPoint of N and the corrected disturbance, uncorrected D0) at one angle."""
+    """(NDPoint of N and the corrected disturbance, uncorrected D0) at one
+    angle, from counts simulated in `mode`."""
     theta = math.radians(theta_deg)
     m = polar_observable(theta)
     corr_map, corr_label = _make_correction(correction_kind, target, m)
 
-    if mode == "analytic":
-        inst = ProjectiveInstrument(m)
-        n = noise(inst, SIGMA_Z)
-        d0 = disturbance(inst, SIGMA_Y)
-        dcorr = d0 if corr_map is None else disturbance(inst, SIGMA_Y, corr_map)
+    table_a = simulate_intensities(
+        m, corr_map, "A", shots, seed, mode, correction_label=corr_label)
+    table_b0 = simulate_intensities(m, None, "B", shots, seed, mode)
+    point0 = nd_from_counts(table_a, table_b0)
+    n, d0 = point0.noise, point0.disturbance
+    if corr_map is None:
+        dcorr = d0
     else:
-        table_a = simulate_intensities(
-            m, corr_map, "A", shots, seed, mode, correction_label=corr_label)
-        table_b0 = simulate_intensities(m, None, "B", shots, seed, mode)
-        point0 = nd_from_counts(table_a, table_b0)
-        n, d0 = point0.noise, point0.disturbance
-        if corr_map is None:
-            dcorr = d0
-        else:
-            table_bc = simulate_intensities(
-                m, corr_map, "B", shots, seed, mode, correction_label=corr_label)
-            dcorr = nd_from_counts(table_a, table_bc).disturbance
+        table_bc = simulate_intensities(
+            m, corr_map, "B", shots, seed, mode, correction_label=corr_label)
+        dcorr = nd_from_counts(table_a, table_bc).disturbance
 
     return NDPoint(n, dcorr, theta=theta, corrected=corr_map is not None), d0
 
@@ -311,10 +326,14 @@ def run_sweep(opt, parser) -> int:
     if tolerance is None:
         tolerance = 1e-9 if mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
-    points = [_sweep_point(t, mode, correction, target, opt.shots, opt.seed) for t in thetas]
-    n = [float(p.noise) for p, _ in points]
-    d0 = [float(d0) for _, d0 in points]
-    dcorr = [float(p.disturbance) for p, _ in points]
+    if mode == "analytic":
+        n, d0, dcorr = (col.tolist() for col in _analytic_sweep(thetas, correction, target))
+    else:
+        points = [_sweep_point(t, mode, correction, target, opt.shots, opt.seed)
+                  for t in thetas]
+        n = [float(p.noise) for p, _ in points]
+        d0 = [float(d0) for _, d0 in points]
+        dcorr = [float(p.disturbance) for p, _ in points]
     sum_nd = [a + b for a, b in zip(n, dcorr)]
     # the checks of check_bounds, with one inverse-entropy call for the grid
     c = c_ab(SIGMA_Z, SIGMA_Y)
@@ -368,15 +387,10 @@ def run_correct_search(opt, parser) -> int:
         file=sys.stderr,
     )
 
-    if fmt == "csv":
-        # the lattice axes as they went into the kernel, back in degrees
-        axes = np.degrees(result.varthetas), np.degrees(result.phis)
-        meta = None
-    else:
-        axes = varthetas_deg, phis_deg
-        meta = {"theta_m_deg": float(opt.theta_m),
-                "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
-    columns = {"vartheta_deg": axes[0][:, None], "phi_deg": axes[1][None, :],
+    meta = None if fmt == "csv" else {
+        "theta_m_deg": float(opt.theta_m),
+        "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
+    columns = {"vartheta_deg": varthetas_deg[:, None], "phi_deg": phis_deg[None, :],
                "D": result.surface}
     with _output(opt.out, parser) as stream:
         write_table(stream, columns, fmt, meta=meta, rows_key="surface")
@@ -442,15 +456,7 @@ def _verify_checks(opt):
     grid_deg = sorted(set(paper_deg) | set(fine_deg))
     thetas = np.radians(grid_deg)
 
-    n_pipe = np.empty(thetas.size)
-    d0_pipe = np.empty(thetas.size)
-    dopt_pipe = np.empty(thetas.size)
-    for i, t in enumerate(thetas):
-        m = polar_observable(float(t))
-        inst = ProjectiveInstrument(m)
-        n_pipe[i] = noise(inst, SIGMA_Z)
-        d0_pipe[i] = disturbance(inst, SIGMA_Y)
-        dopt_pipe[i] = disturbance(inst, SIGMA_Y, optimal_correction(m.axis, SIGMA_Y))
+    n_pipe, d0_pipe, dopt_pipe = _analytic_sweep(grid_deg, "optimal", None)
 
     dev = max(
         np.max(np.abs(n_pipe - theory_noise(thetas))),
@@ -498,17 +504,10 @@ def _verify_checks(opt):
 
     exact_dev = 0.0
     for t_deg in paper_deg:
-        m = polar_observable(math.radians(t_deg))
-        c_opt = optimal_correction(m.axis, SIGMA_Y)
-        table_a = simulate_intensities(m, None, "A", 10**6, 0, "exact")
-        table_b0 = simulate_intensities(m, None, "B", 10**6, 0, "exact")
-        table_bc = simulate_intensities(m, c_opt, "B", 10**6, 0, "exact",
-                                        correction_label="optimal")
-        p0 = nd_from_counts(table_a, table_b0)
-        pc = nd_from_counts(table_a, table_bc)
+        point, d0 = _sweep_point(t_deg, "exact", "optimal", None, 10**6, 0)
         i = idx[float(t_deg)]
-        exact_dev = max(exact_dev, abs(p0.noise - n_pipe[i]),
-                        abs(p0.disturbance - d0_pipe[i]), abs(pc.disturbance - dopt_pipe[i]))
+        exact_dev = max(exact_dev, abs(point.noise - n_pipe[i]),
+                        abs(d0 - d0_pipe[i]), abs(point.disturbance - dopt_pipe[i]))
     checks.append(("estimator-exact", exact_dev <= 1e-12,
                    f"max|counts pipeline-analytic|={exact_dev:.3e}"))
 

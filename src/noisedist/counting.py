@@ -32,7 +32,7 @@ from .bloch import (
     Observable,
     ProjectiveInstrument,
 )
-from .entropy import JointTable, NDPoint, conditional_entropy, sequential_joint
+from .entropy import JointTable, NDPoint, conditional_entropy, joint_tables
 from .errors import EstimationError, ValidationError
 from .tables import write_table
 
@@ -193,24 +193,25 @@ def simulate_intensities(
         raise ValidationError(f"seed must be non-negative, got {seed!r}")
 
     inst = ProjectiveInstrument(measurement, correction)
-    input_obs = a if family == "A" else b
+    input_m = (a if family == "A" else b).axis.dot(measurement.axis)
     if correction_label is None:
         correction_label = "identity" if correction is None else "custom"
 
-    counts = np.empty((2, 2, 2))
-    for i, outcome in enumerate(OUTCOMES):
-        joint = sequential_joint(input_obs.eigenstate(outcome), inst, b)
-        if mode == "exact":
-            counts[i] = shots * efficiency * joint
-            continue
-        rng = _stream(seed, family, i, measurement, inst.post_map)
-        if mode == "multinomial":
-            cells = rng.multinomial(shots, joint.ravel()).reshape(2, 2)
-            if efficiency < 1.0:
-                cells = rng.binomial(cells, efficiency)
-        else:  # poisson
-            cells = rng.poisson(shots * efficiency * joint)
-        counts[i] = cells
+    # joint[i] is the joint distribution of (mu, beta') for input OUTCOMES[i]
+    joint = joint_tables([input_m, -input_m], inst.post_map.overlaps(b))
+    if mode == "exact":
+        counts = shots * efficiency * joint
+    else:
+        counts = np.empty((2, 2, 2))
+        for i in range(2):
+            rng = _stream(seed, family, i, measurement, inst.post_map)
+            if mode == "multinomial":
+                cells = rng.multinomial(shots, joint[i].ravel()).reshape(2, 2)
+                if efficiency < 1.0:
+                    cells = rng.binomial(cells, efficiency)
+            else:  # poisson
+                cells = rng.poisson(shots * efficiency * joint[i])
+            counts[i] = cells
 
     return IntensityTable(
         family=family,
@@ -288,8 +289,7 @@ def _conditional_entropy_from_estimate(est: EstimatedProbabilities) -> float:
         est = bayes_invert(est)
     # joint[in, out] = p(in|out) p(out); dropped outcomes contribute zero mass
     joint = est.p_in_given_out.T * est.p_out[None, :]
-    table = JointTable(OUTCOMES, OUTCOMES, joint)
-    return conditional_entropy(table, given="y")
+    return conditional_entropy(JointTable(joint), given="y")
 
 
 def nd_from_counts(table_a: IntensityTable, table_b: IntensityTable) -> NDPoint:

@@ -1,5 +1,7 @@
 """Entropy machinery and the information-theoretic noise/disturbance
-functionals.
+functionals: one Born-rule kernel over Bloch overlaps (input . m of the input
+states with the measurement axis m, target . b of the two re-preparation
+targets with the final axis b) and its reductions.
 
 All entropies are in bits (log base 2) and 0 * log 0 is taken as 0
 throughout, which is what makes the exact eigenstate configurations
@@ -12,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    OUTCOMES,
-    CorrectionMap,
-    Observable,
-    ProjectiveInstrument,
-    PureState,
-    born_probability,
-)
+from .bloch import OUTCOMES, CorrectionMap, Observable, ProjectiveInstrument, born
 from .errors import DomainError, ValidationError
 
 # Slack accepted on mathematical domain boundaries before raising.
@@ -98,25 +93,17 @@ def binary_entropy_inverse(y):
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Joint distribution p(x, y) over two finite outcome alphabets.
-
-    p[i, j] is the probability of (labels_x[i], labels_y[j]); entries must be
-    non-negative and sum to 1 within 1e-9.
+    """Joint distribution p(x, y) over two finite outcome alphabets, indexed
+    p[i, j] in the (+1, -1) storage order; entries must be non-negative and
+    sum to 1 within 1e-9.
     """
 
-    labels_x: tuple
-    labels_y: tuple
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels_x", tuple(self.labels_x))
-        object.__setattr__(self, "labels_y", tuple(self.labels_y))
         arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (len(self.labels_x), len(self.labels_y)):
-            raise ValidationError(
-                f"joint table shape {arr.shape} does not match labels "
-                f"({len(self.labels_x)}, {len(self.labels_y)})"
-            )
+        if arr.ndim != 2:
+            raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
         if np.any(arr < 0.0):
             raise ValidationError("joint table entries must be non-negative")
         total = float(arr.sum())
@@ -128,11 +115,15 @@ class JointTable:
 def _cond_entropy_given_last(p):
     """H(X|Y) in bits for arrays shaped (..., nx, ny), conditioning on the
     last axis. Zero cells contribute nothing; conditioning outcomes with zero
-    marginal carry only zero cells and so are skipped automatically."""
+    marginal carry only zero cells and so are skipped automatically. The
+    terms -p log2(p / marginal) are built in one work buffer."""
     marginal = p.sum(axis=-2, keepdims=True)
-    safe_p = np.where(p > 0.0, p, 1.0)
-    safe_m = np.where(marginal > 0.0, marginal, 1.0)
-    terms = np.where(p > 0.0, -p * np.log2(safe_p / safe_m), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p / marginal
+        np.log2(terms, out=terms)
+        terms *= p
+    np.negative(terms, out=terms)
+    np.copyto(terms, 0.0, where=~(p > 0.0))
     return terms.sum(axis=(-2, -1))
 
 
@@ -171,31 +162,54 @@ class NDPoint:
                 raise ValidationError(f"{name} must lie in [0, 1] bits, got {v!r}")
 
 
-def sequential_joint(
-    state: PureState, inst: ProjectiveInstrument, second: Observable
-) -> np.ndarray:
-    """Joint outcome distribution of the instrument followed by a sharp
-    measurement of `second`, as a 2x2 array indexed [mu, outcome2] in the
-    (+1, -1) storage order. Rows sum to the single-measurement Born
-    probabilities of the instrument."""
-    joint = np.empty((2, 2))
-    for i, mu in enumerate(OUTCOMES):
-        p_mu, emitted = inst.apply(state, mu)
-        for j, out2 in enumerate(OUTCOMES):
-            joint[i, j] = p_mu * born_probability(emitted, second, out2)
-    return joint
+def _eigen_pair(overlap):
+    """Overlaps (..., 2) of the two eigenstates +n, -n of one observable."""
+    return np.asarray(overlap, dtype=float)[..., None] * OUTCOMES
+
+
+def _born_product(p_in, p_final, mu=slice(None)):
+    """The Born-rule product p(mu | input) p(beta' | target_mu), from
+    p_in = born(input . m) and p_final = born(target . b): indexed
+    [..., input, mu, beta'], or [..., input, beta'] for one outcome index mu."""
+    return p_in[..., :, mu, None] * p_final[..., None, mu, :]
+
+
+def joint_tables(input_m, target_b) -> np.ndarray:
+    """p(mu, beta' | input) as an (..., n_in, 2, 2) array indexed
+    [input, mu, beta'], from input_m (..., n_in) and the overlaps target_b
+    (..., 2) of the targets of mu = +1, -1. Overlaps outside [-1, 1] (or
+    non-finite) raise ValidationError."""
+    return _born_product(born(input_m), born(target_b))
+
+
+def noise_bits(a_m):
+    """Noise H(A|M) in bits for overlaps a . m (scalar or array): which of the
+    uniformly sent eigenstates of A, given mu. It reduces p(mu | input) alone,
+    which sums exactly where the table summed over beta' would not."""
+    joint = born(_eigen_pair(a_m))
+    joint *= 0.5
+    h = _cond_entropy_given_last(joint)
+    return float(h) if h.ndim == 0 else h
+
+
+def disturbance_bits(b_m, target_b):
+    """Disturbance H(B|B') in bits for overlaps b . m (...) and target
+    overlaps target_b (..., 2), broadcast together: which of the uniformly
+    sent eigenstates of B, given beta'. p(beta, beta') is summed over mu as
+    0.5 (row(mu=+1) + row(mu=-1)), without the (..., 2, 2, 2) table."""
+    p_in, p_final = born(_eigen_pair(b_m)), born(target_b)
+    joint = _born_product(p_in, p_final, 0)
+    joint += _born_product(p_in, p_final, 1)
+    joint *= 0.5
+    del p_in, p_final  # lattice-sized; freed before the entropy's work buffer
+    h = _cond_entropy_given_last(joint)
+    return float(h) if h.ndim == 0 else h
 
 
 def noise(inst: ProjectiveInstrument, a: Observable) -> float:
     """Information-theoretic noise H(A|M): the conditional entropy of which
     eigenstate of `a` was sent (uniformly) given the instrument's outcome."""
-    joint = np.empty((2, 2))
-    for i, alpha in enumerate(OUTCOMES):
-        state = a.eigenstate(alpha)
-        for j, mu in enumerate(OUTCOMES):
-            joint[i, j] = 0.5 * inst.outcome_probability(state, mu)
-    table = JointTable(OUTCOMES, OUTCOMES, joint)
-    return conditional_entropy(table, given="y")
+    return noise_bits(a.axis.dot(inst.measured.axis))
 
 
 def disturbance(
@@ -209,17 +223,12 @@ def disturbance(
     outcome statistics of the instrument itself untouched.
     """
     post = correction if correction is not None else inst.post_map
-    effective = ProjectiveInstrument(inst.measured, post)
-    joint = np.zeros((2, 2))
-    for i, beta in enumerate(OUTCOMES):
-        joint[i] = 0.5 * sequential_joint(b.eigenstate(beta), effective, b).sum(axis=0)
-    table = JointTable(OUTCOMES, OUTCOMES, joint)
-    return conditional_entropy(table, given="y")
+    return disturbance_bits(b.axis.dot(inst.measured.axis), post.overlaps(b))
 
 
 # Closed-form theory curves for the y-z-plane configuration A = sigma_z,
 # B = sigma_y, measurement axis at polar angle theta. These are what the
-# instrument pipeline above must reproduce.
+# kernel above must reproduce, so nothing in them may be derived from it.
 
 
 def theory_noise(theta):

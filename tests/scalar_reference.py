@@ -1,0 +1,71 @@
+"""Reference oracle for the Born-rule kernel: the per-branch scalar arithmetic
+that noise, disturbance, the sequential joint distribution and the
+correction surface used before they became reductions of one array kernel.
+
+The kernel is specified to reproduce these values bit for bit, so tests
+compare against them with ==. Nothing here calls the kernel (`born`,
+`joint_tables`, `noise_bits`, `disturbance_bits`) or the conditional-entropy
+helper it shares.
+"""
+
+import numpy as np
+
+from noisedist import ProjectiveInstrument
+from noisedist.bloch import OUTCOMES
+
+
+def scalar_born(state, obs, outcome):
+    """p(outcome) = (1 + outcome * r . axis) / 2, clamped to [0, 1]."""
+    p = 0.5 * (1.0 + outcome * state.direction.dot(obs.axis))
+    return min(max(p, 0.0), 1.0)
+
+
+def cond_entropy_given_last(p):
+    """H(X|Y) in bits for (..., nx, ny) arrays, conditioning on the last
+    axis, in the masked np.where formulation."""
+    p = np.asarray(p, dtype=float)
+    marginal = p.sum(axis=-2, keepdims=True)
+    safe_p = np.where(p > 0.0, p, 1.0)
+    safe_m = np.where(marginal > 0.0, marginal, 1.0)
+    # unnormalized test tables can overflow or underflow the ratio
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, -p * np.log2(safe_p / safe_m), 0.0)
+    return terms.sum(axis=(-2, -1))
+
+
+def scalar_joint(state, inst, second):
+    """Joint distribution [mu, outcome2] of the instrument followed by a
+    sharp measurement of `second`, one branch at a time."""
+    joint = np.empty((2, 2))
+    for i, mu in enumerate(OUTCOMES):
+        p_mu = scalar_born(state, inst.measured, mu)
+        emitted = inst.post_map.target(mu)
+        for j, out2 in enumerate(OUTCOMES):
+            joint[i, j] = p_mu * scalar_born(emitted, second, out2)
+    return joint
+
+
+def scalar_noise(inst, a):
+    joint = np.empty((2, 2))
+    for i, alpha in enumerate(OUTCOMES):
+        for j, mu in enumerate(OUTCOMES):
+            joint[i, j] = 0.5 * scalar_born(a.eigenstate(alpha), inst.measured, mu)
+    return float(cond_entropy_given_last(joint))
+
+
+def scalar_disturbance(inst, b, correction=None):
+    post = correction if correction is not None else inst.post_map
+    effective = ProjectiveInstrument(inst.measured, post)
+    joint = np.zeros((2, 2))
+    for i, beta in enumerate(OUTCOMES):
+        joint[i] = 0.5 * scalar_joint(b.eigenstate(beta), effective, b).sum(axis=0)
+    return float(cond_entropy_given_last(joint))
+
+
+def scalar_exact_counts(measurement, correction, input_obs, b, shots, efficiency=1.0):
+    """Exact-mode intensities [input, mu, beta'] for the inputs +-input_obs."""
+    inst = ProjectiveInstrument(measurement, correction)
+    return np.array([
+        shots * efficiency * scalar_joint(input_obs.eigenstate(outcome), inst, b)
+        for outcome in OUTCOMES
+    ])

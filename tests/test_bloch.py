@@ -18,13 +18,12 @@ from noisedist import (
     ProjectiveInstrument,
     PureState,
     ValidationError,
-    apply_instrument,
     born_probability,
-    eigenstates,
     noise,
     polar_observable,
 )
-from noisedist.bloch import OUTCOMES
+from noisedist.bloch import OUTCOMES, born
+from scalar_reference import scalar_born
 
 # direct trigonometric evaluation for the 50-degree axis
 SIN50 = 0.76604444311897804
@@ -40,12 +39,12 @@ def random_state(theta, phi):
 
 class TestEigenstates:
     def test_sigma_z(self):
-        plus, minus = eigenstates(SIGMA_Z)
+        plus, minus = SIGMA_Z.eigenstates()
         assert plus.direction.as_tuple() == (0.0, 0.0, 1.0)
         assert minus.direction.as_tuple() == (0.0, 0.0, -1.0)
 
     def test_sigma_y(self):
-        plus, minus = eigenstates(SIGMA_Y)
+        plus, minus = SIGMA_Y.eigenstates()
         assert plus.direction.as_tuple() == (0.0, 1.0, 0.0)
         assert minus.direction.as_tuple() == (0.0, -1.0, 0.0)
 
@@ -98,6 +97,19 @@ class TestBornProbability:
         total = born_probability(state, obs, 1) + born_probability(state, obs, -1)
         assert abs(total - 1.0) <= 1e-12
 
+    @given(theta=angles, phi=azimuths, ax_theta=angles, ax_phi=azimuths)
+    @settings(max_examples=200, deadline=None)
+    def test_veneer_and_array_equal_scalar_formula(self, theta, phi, ax_theta, ax_phi):
+        state = random_state(theta, phi)
+        obs = Observable(random_state(ax_theta, ax_phi).direction)
+        overlap = state.direction.dot(obs.axis)
+        p = born(np.array([overlap, -overlap]))
+        assert p.shape == (2, 2)
+        for i, mu in enumerate(OUTCOMES):
+            assert born_probability(state, obs, mu) == scalar_born(state, obs, mu)
+            assert p[0, i] == scalar_born(state, obs, mu)
+            assert p[1, i] == scalar_born(state.antipode(), obs, mu)
+
     def test_conditional_matches_closed_form_on_grid(self):
         # p(mu|alpha) = (1 + mu alpha cos(theta)) / 2 on a 181-point grid
         for theta in np.radians(np.arange(181.0)):
@@ -112,13 +124,13 @@ class TestBornProbability:
 class TestInstrument:
     def test_eigenstate_passes_through(self):
         inst = ProjectiveInstrument(polar_observable(math.pi / 2))
-        prob, out = apply_instrument(SIGMA_Y.eigenstate(1), inst, 1)
+        prob, out = inst.apply(SIGMA_Y.eigenstate(1), 1)
         assert prob == 1.0
         assert out.direction.as_tuple() == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
     def test_default_post_map_prepares_measured_eigenstate(self):
         inst = ProjectiveInstrument(polar_observable(math.pi / 2))
-        prob, out = apply_instrument(SIGMA_Z.eigenstate(1), inst, 1)
+        prob, out = inst.apply(SIGMA_Z.eigenstate(1), 1)
         assert prob == 0.5
         assert out.direction.as_tuple() == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
 
@@ -129,7 +141,7 @@ class TestInstrument:
 
         m = polar_observable(math.radians(50.0))
         inst = ProjectiveInstrument(m, optimal_correction(m.axis, SIGMA_Y))
-        prob, out = apply_instrument(m.eigenstate(1), inst, 1)
+        prob, out = inst.apply(m.eigenstate(1), 1)
         assert prob == pytest.approx(1.0, abs=1e-15)
         assert out.direction == SIGMA_Y.axis
 

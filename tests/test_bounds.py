@@ -12,6 +12,7 @@ from noisedist import (
     SIGMA_Y,
     SIGMA_Z,
     BlochVector,
+    CorrectionMap,
     DomainError,
     EnsembleMember,
     NDPoint,
@@ -39,6 +40,7 @@ from noisedist import (
 )
 from noisedist.cli import main
 from noisedist.tables import write_table
+from scalar_reference import scalar_disturbance
 
 H_HALF = 0.81127812445913286
 H_SIN45 = 0.6008760366928561
@@ -125,11 +127,19 @@ class TestGridSearch:
         inst = ProjectiveInstrument(polar_observable(theta_m))
         for i, vt in enumerate(self.COARSE[2:5]):
             for j, ph in enumerate(self.COARSE[3:6]):
-                from noisedist import CorrectionMap
-
                 cmap = CorrectionMap.from_rotation_angles(float(vt), float(ph))
-                assert surface[i, j] == pytest.approx(
-                    disturbance(inst, SIGMA_Y, cmap), abs=1e-13)
+                assert surface[i, j] == disturbance(inst, SIGMA_Y, cmap)
+
+    @pytest.mark.parametrize("theta_m_deg", [0.0, 37.3, 50.0, 90.0, 151.0])
+    def test_surface_equals_scalar_reference(self, theta_m_deg):
+        theta_m = math.radians(theta_m_deg)
+        lattice = np.radians(np.arange(0.0, 180.1, 7.5))
+        surface = disturbance_surface(theta_m, lattice, lattice[::2])
+        inst = ProjectiveInstrument(polar_observable(theta_m))
+        for i, vt in enumerate(lattice):
+            for j, ph in enumerate(lattice[::2]):
+                cmap = CorrectionMap.from_rotation_angles(float(vt), float(ph))
+                assert surface[i, j] == scalar_disturbance(inst, SIGMA_Y, cmap)
 
     def test_measuring_b_allows_zero_disturbance(self):
         res = correction_grid_search(math.pi / 2, SIGMA_Y, self.COARSE, self.COARSE)

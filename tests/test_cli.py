@@ -364,6 +364,25 @@ def test_one_inverse_entropy_call_per_command(argv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv,disturbance_calls", [
+    (["sweep", "--theta", "0:180:0.25", "--correction", "none"], 1),
+    (["sweep", "--theta", "0:180:0.25"], 2),
+    (["sweep", "--theta", "0:180:0.25", "--correction", "custom", "--target", "30,60"], 2),
+    (["verify", "--trials", "0", "--shots", "10000"], 2),
+], ids=["sweep-none", "sweep-optimal", "sweep-custom", "verify"])
+def test_analytic_pipeline_makes_one_kernel_call_per_quantity(
+        argv, disturbance_calls, monkeypatch, capsys):
+    seen = {"noise_bits": 0, "disturbance_bits": 0}
+    for name in seen:
+        def counted(*args, _real=getattr(noisedist.cli, name), _name=name):
+            seen[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(noisedist.cli, name, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == {"noise_bits": 1, "disturbance_bits": disturbance_calls}
+
+
 def test_unknown_command_is_usage_error():
     run_usage_error(["polarize"])
 
@@ -386,8 +405,11 @@ class TestSizeCaps:
         # parse_theta_spec would fill a list of 1e18 floats with range()
         monkeypatch.setattr(noisedist.cli, "range", _must_not_run, raising=False)
         monkeypatch.setattr(noisedist.cli, "_sweep_point", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_analytic_sweep", _must_not_run)
         out = tmp_path / "out"
         run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--out", str(out)])
+        run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--mode", "multinomial",
+                         "--out", str(out)])
         assert not out.exists()
 
     def test_surface_cell_cap(self, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from noisedist import (
     SIGMA_Y,
     SIGMA_Z,
+    CorrectionMap,
     EstimationError,
     IntensityTable,
     ValidationError,
@@ -24,6 +25,7 @@ from noisedist import (
     theory_noise,
 )
 from noisedist.counting import CSV_HEADER, EstimatedProbabilities
+from scalar_reference import scalar_exact_counts
 
 H_SIN45 = 0.6008760366928561
 
@@ -60,19 +62,27 @@ class TestSimulate:
         assert table.counts.sum() == pytest.approx(2000.0, abs=1e-9)
 
     def test_exact_counts_match_joint_distribution(self):
-        from noisedist import ProjectiveInstrument, sequential_joint
-        from noisedist.bloch import OUTCOMES
-
         for deg in (30.0, 50.0, 120.0):
             m = polar_observable(math.radians(deg))
             table_a, table_b = make_tables(deg, 1234, 0, "exact")
             for table, input_obs in ((table_a, SIGMA_Z), (table_b, SIGMA_Y)):
                 per_input = table.counts.sum(axis=(1, 2))
                 assert per_input == pytest.approx([1234.0, 1234.0], abs=1e-9)
-                inst = ProjectiveInstrument(m)
-                for i, outcome in enumerate(OUTCOMES):
-                    joint = sequential_joint(input_obs.eigenstate(outcome), inst, SIGMA_Y)
-                    assert np.allclose(table.counts[i] / 1234.0, joint, atol=1e-12)
+                expected = scalar_exact_counts(m, None, input_obs, SIGMA_Y, 1234)
+                assert np.array_equal(table.counts, expected)
+
+    @pytest.mark.parametrize("family", ["A", "B"])
+    def test_exact_counts_equal_scalar_reference(self, family):
+        # every correction kind, with detector thinning
+        input_obs = SIGMA_Z if family == "A" else SIGMA_Y
+        rng = np.random.default_rng(11)
+        for deg in np.concatenate([np.arange(0.0, 181.0, 7.5), rng.uniform(0, 360, 20)]):
+            m = polar_observable(math.radians(deg))
+            custom = CorrectionMap.from_rotation_angles(*rng.uniform(0.0, math.pi, 2))
+            for corr in (None, optimal_correction(m.axis, SIGMA_Y), custom):
+                table = simulate_intensities(m, corr, family, 777, 0, "exact", efficiency=0.7)
+                expected = scalar_exact_counts(m, corr, input_obs, SIGMA_Y, 777, 0.7)
+                assert np.array_equal(table.counts, expected)
 
     def test_multinomial_is_seed_deterministic(self):
         a1, b1 = make_tables(50.0, 10000, 7, "multinomial")

@@ -14,6 +14,7 @@ from noisedist import (
     DomainError,
     JointTable,
     NDPoint,
+    NoiseDistError,
     ProjectiveInstrument,
     PureState,
     ValidationError,
@@ -22,16 +23,24 @@ from noisedist import (
     binary_entropy_inverse,
     conditional_entropy,
     disturbance,
+    disturbance_bits,
+    joint_tables,
     noise,
+    noise_bits,
     optimal_correction,
     polar_observable,
-    sequential_joint,
     theory_disturbance_optimal,
     theory_disturbance_uncorrected,
     theory_noise,
 )
-from noisedist.bloch import OUTCOMES
-from noisedist.entropy import DOMAIN_ATOL
+from noisedist.bloch import OUTCOMES, born
+from noisedist.entropy import DOMAIN_ATOL, _cond_entropy_given_last
+from scalar_reference import (
+    cond_entropy_given_last,
+    scalar_disturbance,
+    scalar_joint,
+    scalar_noise,
+)
 
 # frozen with a 30-digit evaluation of the defining formulas
 H_HALF = 0.81127812445913286      # h(1/2)
@@ -172,21 +181,21 @@ class TestDerivative:
 
 class TestConditionalEntropy:
     def test_perfectly_correlated(self):
-        table = JointTable((1, -1), (1, -1), [[0.5, 0.0], [0.0, 0.5]])
+        table = JointTable([[0.5, 0.0], [0.0, 0.5]])
         assert conditional_entropy(table, given="y") == 0.0
 
     def test_uniform_independent(self):
-        table = JointTable((1, -1), (1, -1), np.full((2, 2), 0.25))
+        table = JointTable(np.full((2, 2), 0.25))
         assert conditional_entropy(table, given="y") == 1.0
 
     def test_binary_symmetric_channel_at_60_degrees(self):
         c = math.cos(math.radians(60.0))
         p = 0.5 * np.array([[(1 + c) / 2, (1 - c) / 2], [(1 - c) / 2, (1 + c) / 2]])
-        table = JointTable((1, -1), (1, -1), p)
+        table = JointTable(p)
         assert conditional_entropy(table, given="y") == pytest.approx(H_HALF, abs=1e-12)
 
     def test_zero_marginal_column_skipped(self):
-        table = JointTable((1, -1), (1, -1), [[0.5, 0.0], [0.5, 0.0]])
+        table = JointTable([[0.5, 0.0], [0.5, 0.0]])
         assert conditional_entropy(table, given="y") == 1.0
 
     def test_given_x_transposes(self):
@@ -198,11 +207,26 @@ class TestConditionalEntropy:
         with pytest.raises(ValidationError):
             conditional_entropy(np.array([[0.6, -0.1], [0.3, 0.2]]), given="y")
         with pytest.raises(ValidationError):
-            JointTable((1, -1), (1, -1), [[0.6, -0.1], [0.3, 0.2]])
+            JointTable([[0.6, -0.1], [0.3, 0.2]])
 
     def test_table_must_sum_to_one(self):
         with pytest.raises(ValidationError):
-            JointTable((1, -1), (1, -1), [[0.5, 0.5], [0.5, 0.5]])
+            JointTable([[0.5, 0.5], [0.5, 0.5]])
+
+    def test_table_must_be_two_dimensional(self):
+        with pytest.raises(ValidationError):
+            JointTable(np.full(4, 0.25))
+        with pytest.raises(ValidationError):
+            JointTable(np.full((2, 2, 2), 0.125))
+
+    @given(st.lists(st.sampled_from([0.0, 1e-300, 1e-17, 0.25, 1.0]) | st.floats(0.0, 1.0),
+                    min_size=12, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_work_buffer_matches_masked_formulation(self, cells):
+        # batches of 2x2 and 3x2 tables, empty cells and columns included
+        for shape in ((3, 2, 2), (2, 3, 2)):
+            p = np.array(cells).reshape(shape)
+            assert np.array_equal(_cond_entropy_given_last(p), cond_entropy_given_last(p))
 
     def test_bad_axis_name(self):
         with pytest.raises(ValidationError):
@@ -275,17 +299,109 @@ class TestDisturbance:
                 assert disturbance(inst, SIGMA_Y, cmap) >= d_opt - 1e-12
 
 
-class TestSequentialJoint:
+class TestJointTables:
     def test_rows_reproduce_single_measurement_marginals(self):
         for theta in np.radians(np.arange(0.0, 180.1, 11.25)):
             m = polar_observable(float(theta))
             inst = ProjectiveInstrument(m)
             state = PureState.from_angles(0.9, 0.4)
-            joint = sequential_joint(state, inst, SIGMA_Y)
+            joint = joint_tables([state.direction.dot(m.axis)], inst.post_map.overlaps(SIGMA_Y))
+            assert joint.shape == (1, 2, 2)
             for i, mu in enumerate(OUTCOMES):
-                assert joint[i].sum() == pytest.approx(
+                assert joint[0, i].sum() == pytest.approx(
                     inst.outcome_probability(state, mu), abs=1e-12)
             assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(theta=st.floats(0.0, math.pi), phi=st.floats(-math.pi, math.pi),
+           m_theta=st.floats(0.0, math.pi), targets=st.lists(
+               st.floats(0.0, math.pi), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scalar_reference(self, theta, phi, m_theta, targets):
+        state = PureState.from_angles(theta, phi)
+        m = polar_observable(m_theta)
+        cmap = CorrectionMap(PureState.from_angles(*targets[:2]),
+                             PureState.from_angles(*targets[2:]))
+        inst = ProjectiveInstrument(m, cmap)
+        joint = joint_tables([state.direction.dot(m.axis)], cmap.overlaps(SIGMA_Y))
+        assert np.array_equal(joint[0], scalar_joint(state, inst, SIGMA_Y))
+
+
+class TestKernelReductions:
+    """noise_bits and disturbance_bits (and the noise/disturbance veneers
+    over them) equal the per-branch scalar pipeline bit for bit."""
+
+    THETAS = np.concatenate([GRID, np.random.default_rng(3).uniform(-7.0, 7.0, 200)])
+
+    def test_noise_equals_scalar_reference(self):
+        for theta in self.THETAS:
+            inst = ProjectiveInstrument(polar_observable(float(theta)))
+            for a in (SIGMA_Z, SIGMA_Y):
+                assert noise(inst, a) == scalar_noise(inst, a)
+
+    def test_disturbance_equals_scalar_reference(self):
+        for theta in self.THETAS:
+            m = polar_observable(float(theta))
+            inst = ProjectiveInstrument(m)
+            assert disturbance(inst, SIGMA_Y) == scalar_disturbance(inst, SIGMA_Y)
+            copt = optimal_correction(m.axis, SIGMA_Y)
+            assert disturbance(inst, SIGMA_Y, copt) == scalar_disturbance(inst, SIGMA_Y, copt)
+
+    def test_disturbance_with_random_target_pairs(self):
+        rng = np.random.default_rng(7)
+        for theta in np.radians(np.linspace(0.0, 180.0, 19)):
+            inst = ProjectiveInstrument(polar_observable(float(theta)))
+            vecs = rng.normal(size=(100, 2, 3))
+            for pair in vecs:
+                cmap = CorrectionMap(
+                    PureState.from_vector(*pair[0]), PureState.from_vector(*pair[1]))
+                assert disturbance(inst, SIGMA_Y, cmap) == scalar_disturbance(
+                    inst, SIGMA_Y, cmap)
+
+    def test_array_calls_equal_scalar_calls(self):
+        a_m = np.cos(self.THETAS)
+        targets = np.stack([np.sin(self.THETAS), -np.cos(self.THETAS)], axis=-1)
+        n = noise_bits(a_m)
+        d = disturbance_bits(a_m, targets)
+        assert n.shape == d.shape == a_m.shape
+        for k in range(a_m.size):
+            assert n[k] == noise_bits(float(a_m[k]))
+            assert d[k] == disturbance_bits(float(a_m[k]), targets[k])
+
+    def test_broadcasts_one_target_pair_over_many_angles(self):
+        b_m = np.sin(self.THETAS)
+        d = disturbance_bits(b_m, [0.3, -0.3])
+        assert np.array_equal(d, disturbance_bits(b_m, np.tile([0.3, -0.3], (b_m.size, 1))))
+
+    def test_scalar_input_gives_float(self):
+        assert isinstance(noise_bits(0.5), float)
+        assert isinstance(disturbance_bits(0.5, (1.0, -1.0)), float)
+
+
+# every array entry point of the kernel, called with x in every overlap slot
+KERNEL_ENTRY_POINTS = {
+    "born": lambda x: born(x),
+    "joint_tables": lambda x: joint_tables([x, 0.5], [x, -0.25]),
+    "noise_bits": lambda x: noise_bits(x),
+    "disturbance_bits-input": lambda x: disturbance_bits(x, [0.5, -0.5]),
+    "disturbance_bits-target": lambda x: disturbance_bits(0.5, [0.5, x]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ENTRY_POINTS))
+@given(st.floats())
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(1.0 + 2e-12)
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_finite_or_raises(name, x):
+    # overlaps of unit vectors lie in [-1, 1]; NaN must never become 0 bits
+    func = KERNEL_ENTRY_POINTS[name]
+    if abs(x) <= 1.0 + 1e-12:
+        assert np.all(np.isfinite(func(x)))
+    else:
+        with pytest.raises(NoiseDistError):
+            func(x)
 
 
 class TestNDPoint:

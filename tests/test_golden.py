@@ -56,7 +56,7 @@ GOLDEN = {
     # large enough to span several write chunks of the table emitter
     "correct-search-lattice-csv": (
         ["correct-search", "--theta-m", "37.3", "--grid", "2.5,5"],
-        "ee423515803dde2edf59c89ce48d627a558794b92fffaf72ce5fec64e437229e",
+        "ea0bbf1fdecd2ba45384f2def22153ed50ca79f339656ca2076c401501ba567f",
     ),
     "correct-search-lattice-json": (
         ["correct-search", "--theta-m", "37.3", "--grid", "2.5,5", "--format", "json"],
