@@ -34,6 +34,7 @@ from .bounds import (
 from .counting import nd_from_counts, simulate_intensities
 from .entropy import (
     NDPoint,
+    _eigen_pair,
     binary_entropy,
     binary_entropy_inverse,
     disturbance_bits,
@@ -269,13 +270,13 @@ def _analytic_sweep(thetas_deg, correction_kind, target):
     m = (0.0, np.sin(theta), np.cos(theta))  # polar_observable's axis at every angle
     a_m, b_m = (o.axis.x * m[0] + o.axis.y * m[1] + o.axis.z * m[2] for o in (SIGMA_Z, SIGMA_Y))
     # without a correction the targets are the measured eigenstates +-m
-    d0 = disturbance_bits(b_m, np.stack([b_m, -b_m], axis=-1))
+    d0 = disturbance_bits(b_m, _eigen_pair(b_m))
     if correction_kind == "none":
         dcorr = d0
     elif correction_kind == "optimal":
         # optimal_correction: mu goes to |mu b> where b . m >= 0, else to |-mu b>
         b_b = np.where(b_m >= 0.0, 1.0, -1.0) * SIGMA_Y.axis.dot(SIGMA_Y.axis)
-        dcorr = disturbance_bits(b_m, np.stack([b_b, -b_b], axis=-1))
+        dcorr = disturbance_bits(b_m, _eigen_pair(b_b))
     else:  # a custom map does not depend on m
         corr_map, _ = _make_correction(correction_kind, target, None)
         dcorr = disturbance_bits(b_m, corr_map.overlaps(SIGMA_Y))
@@ -283,8 +284,7 @@ def _analytic_sweep(thetas_deg, correction_kind, target):
 
 
 def _sweep_point(theta_deg, mode, correction_kind, target, shots, seed):
-    """(NDPoint of N and the corrected disturbance, uncorrected D0) at one
-    angle, from counts simulated in `mode`."""
+    """(NDPoint of N and the corrected disturbance, uncorrected D0) at one angle."""
     theta = math.radians(theta_deg)
     m = polar_observable(theta)
     corr_map, corr_label = _make_correction(correction_kind, target, m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import OUTCOMES, CorrectionMap, Observable, ProjectiveInstrument, born
+from .bloch import _SIGNS, CorrectionMap, Observable, ProjectiveInstrument, born
 from .errors import DomainError, ValidationError
 
 # Slack accepted on mathematical domain boundaries before raising.
@@ -164,7 +164,7 @@ class NDPoint:
 
 def _eigen_pair(overlap):
     """Overlaps (..., 2) of the two eigenstates +n, -n of one observable."""
-    return np.asarray(overlap, dtype=float)[..., None] * OUTCOMES
+    return np.asarray(overlap, dtype=float)[..., None] * _SIGNS
 
 
 def _born_product(p_in, p_final, mu=slice(None)):
