@@ -6,6 +6,8 @@ import hashlib
 
 import pytest
 
+import noisedist.cli
+from noisedist import NoiseDistError
 from noisedist.cli import main
 
 GOLDEN = {
@@ -146,3 +148,306 @@ def test_stdout_matches_out_file(name, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+# ------------------------------------------------ help and usage errors
+#
+# What the CLI prints around the data: --help at 80 columns, and the exit
+# code and stderr of usage errors. Each usage error below has one fault, so
+# the message does not depend on the order in which options are checked.
+
+
+def _run(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the --help text of the program ("") and of each subcommand
+HELP_GOLDEN = {
+    "": "4340e27341c3f9fbc9744e88f78e944e4b36cf8d08be94587a6e571667a96bed",
+    "sweep": "f1fc6eb81b3daad7dba7f7e221848c87b41e648b01fa5e71867f9ac331d21157",
+    "correct-search": "cbaa60d372ca2b8f403c1f60bbccb52b1cc20702677c870535bff91c7492a21b",
+    "boundary": "e09d378871642b4e3d6e7b066f568f9834c4a3bd6462821ae7ad6e149f3224ee",
+    "simulate": "8d6649178e09d3ba6a9976b328e264d19d6304fb4f1ce2639d042181cc180b83",
+    "verify": "cd9468e4ded504d381e407cfb17713f81ad3953af4b001f52f40c31a0ebacf41",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_text_is_pinned(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _run([command, "--help"] if command else ["--help"], capsys)
+    assert (code, err, _sha(out)) == (0, "", HELP_GOLDEN[command])
+
+
+# argv -> (last line of stderr, SHA-256 of all of stderr); exit code 2. In
+# argv and stderr, "{tmp}" stands for a fresh directory. The "probe-*" cases
+# are the edge-input probes every benchmark pass carries.
+USAGE_GOLDEN = {
+    "unknown-command": (
+        ["polarize"],
+        "noisedist: error: argument command: invalid choice: 'polarize' (choose from 'sweep', 'correct-search', 'boundary', 'simulate', 'verify')",
+        "7f08e524fb162e7ef2031b87b19dfa5806758dd09995c71ce0f7d535ac16537d"),
+    "sweep-mode": (
+        ["sweep", "--mode", "quantum"],
+        "noisedist: error: --mode must be one of analytic, multinomial, poisson; got 'quantum'",
+        "2b8bd9ddeb5aabbb92655222e6734dde210914f6e130a54377d4f76cdf01fcbb"),
+    "sweep-theta-range": (
+        ["sweep", "--theta", "0:90"],
+        "noisedist: error: bad range '0:90', expected start:stop:step",
+        "306daece759efbef510adaa3b826e44358256d1ee551e95092b5380518c3d05a"),
+    "sweep-theta-blank": (
+        ["sweep", "--theta", " "],
+        "noisedist: error: empty theta grid",
+        "ef90f75e99505293e34bae36d889121c11032f08017bb8b02cf514be7bb122c9"),
+    "sweep-custom-no-target": (
+        ["sweep", "--correction", "custom"],
+        "noisedist: error: --correction custom requires --target VARTHETA,PHI (degrees)",
+        "72b7b2dd46130f37c9c725077637258f4b4e8e1b82e757c64241d25b5a5b6395"),
+    "sweep-shots": (
+        ["sweep", "--shots", "0"],
+        "noisedist: error: --shots must be >= 1, got 0",
+        "786d805c68e57fea81aff17943297a48a76f589070d9da56249eb4aa9fc2fbf8"),
+    "sweep-seed": (
+        ["sweep", "--seed", "-3"],
+        "noisedist: error: --seed must be >= 0, got -3",
+        "a7842ec53c567ceedcb2a83b463e2893a9282134962c890ce48254210f156621"),
+    "sweep-tolerance": (
+        ["sweep", "--theta", "45", "--tolerance", "-1"],
+        "noisedist: error: --tolerance must be >= 0, got -1.0",
+        "1f7a248cd28b599f4ac66497d2f74f62360235e7ff338ab6aa16c58ad79601a1"),
+    "sweep-unwritable-out": (
+        ["sweep", "--theta", "45", "--out", "{tmp}/file/sub/y.csv"],
+        "noisedist: error: cannot write output path {tmp}/file/sub/y.csv: [Errno 20] Not a directory: '{tmp}/file/sub'",
+        "a0f9bc4c357f3d6100402747666d63cc878f546ac5462db28553cc00887bba90"),
+    "sweep-theta-cap": (
+        ["sweep", "--theta", "0:1e9:1e-9"],
+        "noisedist: error: grid range '0:1e9:1e-9' exceeds 1000000 points",
+        "76c740e74596c906aa0c1755372c32264a51f884902419c1e39735b7e0b14293"),
+    "sweep-theta-cap-sampled": (
+        ["sweep", "--theta", "0:1e9:1e-9", "--mode", "multinomial"],
+        "noisedist: error: grid range '0:1e9:1e-9' exceeds 1000000 points",
+        "76c740e74596c906aa0c1755372c32264a51f884902419c1e39735b7e0b14293"),
+    "correct-search-grid-zero": (
+        ["correct-search", "--grid", "0"],
+        "noisedist: error: invalid grid steps '0'",
+        "aba7b42f9310552f9c0aa6c0839da2a7ed76914616e52c7c4c0cc513af5952bc"),
+    "correct-search-grid-negative": (
+        ["correct-search", "--grid", "-5"],
+        "noisedist: error: invalid grid steps '-5'",
+        "5af084c909bf6b8d3dfd59099ceb5efef6e66fbf073ba76c370e9fc965634abb"),
+    "correct-search-grid-words": (
+        ["correct-search", "--grid", "a,b"],
+        "noisedist: error: --grid expects STEP or VSTEP,PSTEP in degrees, got 'a,b'",
+        "cb00819173037cb2564455534a301641f99f46e95db816dca0c9bf13153a9502"),
+    "correct-search-grid-nan": (
+        ["correct-search", "--grid", "nan"],
+        "noisedist: error: --grid expects STEP or VSTEP,PSTEP in degrees, got 'nan'",
+        "4381d1ad678b56509630b276998f0490172f3c0bbaffa2a715686cec16b48af0"),
+    "correct-search-grid-inf": (
+        ["correct-search", "--grid", "inf,10"],
+        "noisedist: error: --grid expects STEP or VSTEP,PSTEP in degrees, got 'inf,10'",
+        "1f22817f397a19b67e354de0ed320c88914a23eea78587c9f943866d7888e5f8"),
+    "correct-search-cell-cap": (
+        ["correct-search", "--grid", "0.1,0.001"],
+        "noisedist: error: --grid 0.1,0.001 exceeds 10000000 lattice cells",
+        "8851a10e38bccbdf0b3e6928b93e010e27f80c09da9457cdd683e486bd4ec70d"),
+    "correct-search-cell-cap-tiny": (
+        ["correct-search", "--grid", "1e-300"],
+        "noisedist: error: --grid 1e-300 exceeds 10000000 lattice cells",
+        "b78ca29a78ceea2441d2157eca60c89facf0892677410f875c6cfbcbd98d4682"),
+    "boundary-samples": (
+        ["boundary", "--samples", "1"],
+        "noisedist: error: --samples must be >= 2, got 1",
+        "1e0160a39cb1e2981720eb2276c3d60497490daef920c5e63707dde28d8a6b13"),
+    "boundary-sample-cap": (
+        ["boundary", "--samples", "10000001"],
+        "noisedist: error: --samples must be <= 10000000, got 10000001",
+        "d953cab98dece4a61be38cd871aedca6dbe006f53fe154da58960ce5878f3af2"),
+    "boundary-kernel-fails": (
+        ["boundary"],
+        "noisedist: error: kernel failed",
+        "01024490ffbbb65c9c5c51dcaddc600e8708ac2282d087306491030242e67699"),
+    "boundary-disk-full": (
+        ["boundary", "--out", "{tmp}/curve.csv"],
+        "noisedist: error: cannot write output path {tmp}/curve.csv: [Errno 28] No space left on device",
+        "1e98942c3662c6fe1b92c4fef62f409db56747597bbdb0a5c89d4d0949afb742"),
+    "simulate-family": (
+        ["simulate", "--family", "Q"],
+        "noisedist: error: --family must be one of A, B; got 'Q'",
+        "d8da3cd73a75b9f165101e6d25ac5b428cb5d5508c63e635484d2f6c6ab68428"),
+    "simulate-efficiency": (
+        ["simulate", "--efficiency", "0"],
+        "noisedist: error: --efficiency must lie in (0, 1], got 0.0",
+        "2bec17c5ea5c224da74a0b24fed00b45b3d021c019d8679dcda9cfc594793470"),
+    "simulate-mode": (
+        ["simulate", "--mode", "analytic"],
+        "noisedist: error: --mode must be one of exact, multinomial, poisson; got 'analytic'",
+        "5e447ba2209534f26415e580d0613b763f00f2a82532ba44d7170857dc3c9af8"),
+    "sweep-correction": (
+        ["sweep", "--correction", "partial"],
+        "noisedist: error: --correction must be one of none, optimal, custom; got 'partial'",
+        "3f82ead0cc8ee96751f95c0e8eaa8c41ebe384c52bec5b9cc5c3b3d02a029e46"),
+    "sweep-format": (
+        ["sweep", "--format", "xml"],
+        "noisedist: error: --format must be one of csv, json; got 'xml'",
+        "ab76accfd5950c4e72de5104e645167bd531854285d15a49f18a3de7538f7162"),
+    "sweep-shots-not-int": (
+        ["sweep", "--shots", "many"],
+        "noisedist sweep: error: argument --shots: invalid int value: 'many'",
+        "6c5aede961f5984ac37dadf1cb63c7179b4d19d5b2c3bd5c028ffa457a44e9f4"),
+    "correct-search-format": (
+        ["correct-search", "--format", "xml"],
+        "noisedist: error: --format must be one of csv, json; got 'xml'",
+        "ab76accfd5950c4e72de5104e645167bd531854285d15a49f18a3de7538f7162"),
+    "boundary-format": (
+        ["boundary", "--format", "xml"],
+        "noisedist: error: --format must be one of csv, json; got 'xml'",
+        "ab76accfd5950c4e72de5104e645167bd531854285d15a49f18a3de7538f7162"),
+    "simulate-correction": (
+        ["simulate", "--correction", "partial"],
+        "noisedist: error: --correction must be one of none, optimal, custom; got 'partial'",
+        "3f82ead0cc8ee96751f95c0e8eaa8c41ebe384c52bec5b9cc5c3b3d02a029e46"),
+    "simulate-format": (
+        ["simulate", "--format", "xml"],
+        "noisedist: error: --format must be one of csv, json; got 'xml'",
+        "ab76accfd5950c4e72de5104e645167bd531854285d15a49f18a3de7538f7162"),
+    "simulate-shots": (
+        ["simulate", "--shots", "0"],
+        "noisedist: error: --shots must be >= 1, got 0",
+        "786d805c68e57fea81aff17943297a48a76f589070d9da56249eb4aa9fc2fbf8"),
+    "simulate-seed": (
+        ["simulate", "--seed", "-1"],
+        "noisedist: error: --seed must be >= 0, got -1",
+        "493990222643ac20f797dea35fabf0b852941c62378fc0425a3bf58abf3920fa"),
+    "simulate-custom-no-target": (
+        ["simulate", "--correction", "custom"],
+        "noisedist: error: --correction custom requires --target VARTHETA,PHI (degrees)",
+        "72b7b2dd46130f37c9c725077637258f4b4e8e1b82e757c64241d25b5a5b6395"),
+    "verify-trials": (
+        ["verify", "--trials", "-1"],
+        "noisedist: error: --trials must be >= 0, got -1",
+        "d4f6b5cd01fd6d21d46fb7e5fc59138d8c25a255189f1d8c27394c0cdd0abd03"),
+    "verify-shots": (
+        ["verify", "--shots", "0"],
+        "noisedist: error: --shots must be >= 1, got 0",
+        "786d805c68e57fea81aff17943297a48a76f589070d9da56249eb4aa9fc2fbf8"),
+    "verify-seed": (
+        ["verify", "--seed", "-1"],
+        "noisedist: error: --seed must be >= 0, got -1",
+        "493990222643ac20f797dea35fabf0b852941c62378fc0425a3bf58abf3920fa"),
+    "verify-perturb-nan": (
+        ["verify", "--perturb-disturbance", "nan"],
+        "noisedist: error: --perturb-disturbance must be a finite number, got nan",
+        "2b66085f5c5a18a3d3a5fb8c9e08453a9ba40781db6053ee02171d5694e973ea"),
+    "probe-sweep-theta-nan": (
+        ["sweep", "--theta", "nan"],
+        "noisedist: error: expected a finite number, got 'nan'",
+        "071a82547958b1a5605330cc4b7adf0d834db70c46918db53f691c12cf746dd6"),
+    "probe-sweep-theta-inf": (
+        ["sweep", "--theta", "inf"],
+        "noisedist: error: expected a finite number, got 'inf'",
+        "362d365b44a6fa5acab02aa10788c658f8483817ca36e16c9b184e1772501cfb"),
+    "probe-sweep-tolerance-nan": (
+        ["sweep", "--tolerance", "nan"],
+        "noisedist: error: --tolerance must be a finite number, got nan",
+        "24c1f4e695c560bb583610baf2cbd20aa58578053dabca3bf42547efa6ec1e41"),
+    "probe-sweep-target-nan": (
+        ["sweep", "--correction", "custom", "--target", "nan,0"],
+        "noisedist: error: --target expects 'VARTHETA,PHI' as finite degrees, got 'nan,0'",
+        "806edff5f540c64e99c9640b709b870d653942e44d64fc77344ec9cd45de9114"),
+    "probe-correct-search-theta-m-nan": (
+        ["correct-search", "--theta-m", "nan"],
+        "noisedist: error: --theta-m must be a finite number, got nan",
+        "a428bbe5ad95cd370bceb726b26e26f74ad00bc9fd7bbf375de13953c3339b39"),
+    "probe-simulate-theta-nan": (
+        ["simulate", "--theta", "nan", "--mode", "exact"],
+        "noisedist: error: --theta must be a finite number, got nan",
+        "416e75261d9eb14643c1c20e632005748562fea51c97118991b0f6777a8194e4"),
+    "probe-sweep-shots": (
+        ["sweep", "--mode", "multinomial", "--shots", "0"],
+        "noisedist: error: --shots must be >= 1, got 0",
+        "786d805c68e57fea81aff17943297a48a76f589070d9da56249eb4aa9fc2fbf8"),
+}
+
+# config file text -> (last line of stderr, SHA-256 of stderr) of
+# `sweep --config {tmp}/run.cfg`; None leaves the file missing
+CONFIG_GOLDEN = {
+    "unknown-key": (
+        "wavelength = 2.02\n",
+        "noisedist: error: unknown config key(s) for sweep: wavelength",
+        "1380824b83d2fdd523ee406de7352bd5e23bf4af602835539a055f79b180a70e"),
+    "malformed-line": (
+        "just some words\n",
+        "noisedist: error: {tmp}/run.cfg:1: expected 'key = value', got 'just some words'",
+        "9536e22ca4342da5f0c4e0d4a1e3c996d77d7b195e80c402ca37af0d974fcdb9"),
+    "unparseable-value": (
+        "shots = many\n",
+        "noisedist: error: config key 'shots': cannot parse 'many'",
+        "8a3f19770c3a84ec5f67289925765a735c6e8a42ff3672181ac1b86789aff0d6"),
+    "missing-file": (
+        None,
+        "noisedist: error: [Errno 2] No such file or directory: '{tmp}/run.cfg'",
+        "3e5d3d5e3886809eacb8c3315c33a246a42ba94407ba288698a72be2b2ea29c2"),
+    "tolerance-nan": (
+        "tolerance = nan\n",
+        "noisedist: error: --tolerance must be a finite number, got nan",
+        "24c1f4e695c560bb583610baf2cbd20aa58578053dabca3bf42547efa6ec1e41"),
+}
+
+
+def _kernel_fails(monkeypatch):
+    def fail(samples):
+        raise NoiseDistError("kernel failed")
+
+    monkeypatch.setattr(noisedist.cli, "boundary_curve", fail)
+
+
+def _disk_full(monkeypatch):
+    real = noisedist.cli.write_table
+
+    def write(stream, *args, **kwargs):
+        real(stream, *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(noisedist.cli, "write_table", write)
+
+
+USAGE_PATCHES = {"boundary-kernel-fails": _kernel_fails, "boundary-disk-full": _disk_full}
+
+
+def _usage_error(argv, tmp_path, capsys):
+    """(exit code, last line of stderr, SHA-256 of stderr), with tmp_path
+    written as "{tmp}" in argv and stderr."""
+    (tmp_path / "file").write_text("x")
+    code, _, err = _run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
+    err = err.replace(str(tmp_path), "{tmp}")
+    return code, err.splitlines()[-1], _sha(err)
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_GOLDEN))
+def test_usage_error_is_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    if name in USAGE_PATCHES:
+        USAGE_PATCHES[name](monkeypatch)
+    argv, line, digest = USAGE_GOLDEN[name]
+    assert _usage_error(argv, tmp_path, capsys) == (2, line, digest)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_GOLDEN))
+def test_config_error_is_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    text, line, digest = CONFIG_GOLDEN[name]
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+    assert _usage_error(["sweep", "--config", "{tmp}/run.cfg"], tmp_path, capsys) == (
+        2, line, digest)

@@ -40,4 +40,13 @@ def test_tracer_installs_and_uninstalls(capsys):
     for cls, attrs in originals.items():
         assert dict(vars(cls)) == attrs
     names = {name for name, *_ in tracer.spans}
-    assert {"cli.main", "entropy.noise_bits", "counting.simulate_intensities"} <= names
+    assert {"cli.main", "cli.build_parser", "entropy.noise_bits",
+            "counting.simulate_intensities"} <= names
+
+
+def test_build_parser_offers_every_command():
+    # the benchmark's setup_s times build_parser() with no arguments, and its
+    # cli.parse group traces it, so it must keep building the full parser
+    parser = noisedist.cli.build_parser()
+    for command in ("sweep", "correct-search", "boundary", "simulate", "verify"):
+        assert parser.parse_args([command]).command == command
