@@ -16,6 +16,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .bounds import (
     tight_value,
     variational_f,
 )
-from .counting import nd_from_counts, simulate_intensities
+from .counting import MAX_SHOTS, nd_from_counts, simulate_intensities
 from .entropy import (
     NDPoint,
     _eigen_pair,
@@ -43,7 +44,7 @@ from .entropy import (
     theory_disturbance_uncorrected,
     theory_noise,
 )
-from .errors import NoiseDistError
+from .errors import NoiseDistError, ValidationError
 from .tables import write_table
 
 ENV_OUTDIR = "NOISEDIST_OUTDIR"
@@ -55,15 +56,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-_MODES_SWEEP = ("analytic", "multinomial", "poisson")
-_MODES_SIM = ("exact", "multinomial", "poisson")
-_CORRECTIONS = ("none", "optimal", "custom")
-_FORMATS = ("csv", "json")
-
 #: Size caps, checked arithmetically before anything is allocated: points of
-#: a --theta grid, and cells of a correct-search lattice or boundary samples.
+#: a --theta grid, cells of a correct-search lattice or boundary samples, and
+#: ensemble-oracle trials (about 660 MB peak at the cap). Shots are capped by
+#: counting.MAX_SHOTS.
 MAX_THETA_POINTS = 1_000_000
 MAX_SURFACE_CELLS = 10_000_000
+MAX_TRIALS = 1_000_000
 
 SWEEP_CSV_HEADER = "theta_deg,N,D0,Dcorr,sum_ND,tight_value,general_ok,tight_ok"
 BOUNDARY_CSV_HEADER = "theta_deg,N,D,mu_line_D,tight_value"
@@ -105,99 +104,151 @@ def _finite_float(text: str) -> float:
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Read a `key = value` config file; '#' starts a comment."""
+    """Read a `key = value` config file; '#' starts a comment. A file that
+    cannot be read, or a line without '=', raises ValidationError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise ValidationError(str(exc)) from exc
     cfg: dict[str, str] = {}
-    text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
-# Per-command option tables: key -> (default, coercion for config-file values).
-_OPTION_TABLES = {
-    "sweep": {
-        "theta": (DEFAULT_THETA_SPEC, str),
-        "shots": (1_000_000, int),
-        "mode": ("analytic", str),
-        "correction": ("optimal", str),
-        "target": (None, str),
-        "seed": (0, int),
-        "tolerance": (None, float),
-        "out": (None, str),
-        "format": ("csv", str),
-    },
-    "correct-search": {
-        "theta_m": (50.0, float),
-        "grid": ("22.5", str),
-        "out": (None, str),
-        "format": ("csv", str),
-    },
-    "boundary": {
-        "samples": (91, int),
-        "out": (None, str),
-        "format": ("csv", str),
-    },
-    "simulate": {
-        "theta": (50.0, float),
-        "family": ("B", str),
-        "shots": (1_000_000, int),
-        "mode": ("multinomial", str),
-        "correction": ("none", str),
-        "target": (None, str),
-        "seed": (0, int),
-        "efficiency": (1.0, float),
-        "out": (None, str),
-        "format": ("csv", str),
-    },
-    "verify": {
-        "trials": (100_000, int),
-        "shots": (1_000_000, int),
-        "seed": (0, int),
-        "perturb_disturbance": (0.0, float),
-    },
+class Option(NamedTuple):
+    """One option of a command, declared once. The flag `--name` (with '-'
+    for '_') and the config key `name` both parse with `type`. A value must
+    be finite if it is a float, one of `choices` if any are given, and pass
+    each (requirement, test) rule, else `--name must <requirement>`."""
+
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple = ()
+    rules: tuple = ()
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _at_least(low):
+    return (f"be >= {low}", lambda value: value >= low)
+
+
+def _at_most(high):
+    return (f"be <= {high}", lambda value: value <= high)
+
+
+def _shots(text):
+    return Option("shots", int, 1_000_000, text, rules=(_at_least(1), _at_most(MAX_SHOTS)))
+
+
+def _seed(text):
+    return Option("seed", int, 0, text, rules=(_at_least(0),))
+
+
+_CORRECTIONS = ("none", "optimal", "custom")
+_TARGET = Option("target", help="VARTHETA,PHI degrees for --correction custom")
+_OUT = Option("out", help="output path (default stdout)")
+_FORMAT = Option("format", default="csv", choices=("csv", "json"))
+
+#: Every subcommand: (help, its options in --help order). The parser, the
+#: config-file keys and option validation are all built from this table.
+COMMANDS = {
+    "sweep": ("noise/disturbance values over a theta grid", (
+        Option("theta", default=DEFAULT_THETA_SPEC,
+               help="grid in degrees: values and start:stop:step ranges, "
+                    f"comma separated (default {DEFAULT_THETA_SPEC})"),
+        _shots("shots per input state for sampled modes"),
+        Option("mode", default="analytic", choices=("analytic", "multinomial", "poisson")),
+        Option("correction", default="optimal", choices=_CORRECTIONS),
+        _TARGET,
+        _seed("base RNG seed for sampled modes"),
+        Option("tolerance", float, help="bound-check slack (default: 1e-9 analytic, "
+                                        "3/sqrt(shots) sampled)", rules=(_at_least(0),)),
+        _OUT,
+        _FORMAT,
+    )),
+    "correct-search": ("disturbance surface over re-preparation targets", (
+        Option("theta_m", float, 50.0, "measurement polar angle in degrees (default 50)"),
+        Option("grid", default="22.5",
+               help="lattice step(s) in degrees: STEP or VSTEP,PSTEP (default 22.5)"),
+        _OUT,
+        _FORMAT,
+    )),
+    "boundary": ("export the optimal tradeoff boundary", (
+        Option("samples", int, 91, "number of boundary samples (default 91)",
+               rules=(_at_least(2), _at_most(MAX_SURFACE_CELLS))),
+        _OUT,
+        _FORMAT,
+    )),
+    "simulate": ("raw intensity table for one configuration", (
+        Option("theta", float, 50.0, "measurement polar angle in degrees"),
+        Option("family", default="B", help="A (noise inputs) | B (disturbance inputs)",
+               choices=("A", "B")),
+        _shots("shots per input state"),
+        Option("mode", default="multinomial", choices=("exact", "multinomial", "poisson")),
+        Option("correction", default="none", choices=_CORRECTIONS),
+        _TARGET,
+        _seed("RNG seed"),
+        Option("efficiency", float, 1.0, "uniform detector thinning in (0, 1]",
+               rules=(("lie in (0, 1]", lambda value: 0.0 < value <= 1.0),)),
+        _OUT,
+        _FORMAT,
+    )),
+    "verify": ("run the invariant battery; exit 1 on any failure", (
+        Option("trials", int, 100_000, "ensemble-oracle trials (0 skips the section)",
+               rules=(_at_least(0), _at_most(MAX_TRIALS))),
+        _shots("shots for the sampled-estimator check"),
+        _seed("base RNG seed"),
+        Option("perturb_disturbance", float, 0.0,
+               "debug: lower disturbance by this many bits inside the bound checks "
+               "(negative control; any nonzero value should FAIL them)"),
+    )),
 }
 
 
-def _resolve_options(args: argparse.Namespace, command: str, parser: argparse.ArgumentParser):
-    """Apply the precedence CLI flag > config file > built-in default."""
-    table = _OPTION_TABLES[command]
-    config: dict[str, str] = {}
-    if getattr(args, "config", None):
-        try:
-            config = load_config(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        unknown = sorted(set(config) - set(table))
-        if unknown:
-            parser.error(f"unknown config key(s) for {command}: {', '.join(unknown)}")
+def _resolve_options(args: argparse.Namespace) -> SimpleNamespace:
+    """Apply the precedence CLI flag > config file > built-in default, then
+    check each value in table order."""
+    options = COMMANDS[args.command][1]
+    config = load_config(args.config) if args.config else {}
+    unknown = sorted(set(config) - {option.name for option in options})
+    if unknown:
+        raise ValidationError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
     resolved = {}
-    for key, (default, coerce) in table.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in config:
+    for option in options:
+        value = getattr(args, option.name)
+        if value is None and option.name in config:
             try:
-                resolved[key] = coerce(config[key])
+                value = option.type(config[option.name])
             except ValueError:
-                parser.error(f"config key {key!r}: cannot parse {config[key]!r}")
-        else:
-            resolved[key] = default
-        if isinstance(resolved[key], float) and not math.isfinite(resolved[key]):
-            parser.error(f"--{key.replace('_', '-')} must be a finite number, "
-                         f"got {resolved[key]!r}")
+                raise ValidationError(f"config key {option.name!r}: cannot parse "
+                                      f"{config[option.name]!r}") from None
+        elif value is None:
+            value = option.default
+        resolved[option.name] = value
+        if value is None:
+            continue
+        flag = _flag(option.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be a finite number, got {value!r}")
+        if option.choices and value not in option.choices:
+            raise ValidationError(
+                f"{flag} must be one of {', '.join(option.choices)}; got {value!r}")
+        for requirement, test in option.rules:
+            if not test(value):
+                raise ValidationError(f"{flag} must {requirement}, got {value!r}")
     return SimpleNamespace(**resolved)
-
-
-def _check_choice(parser, name, value, choices):
-    if value not in choices:
-        parser.error(f"--{name.replace('_', '-')} must be one of {', '.join(choices)}; got {value!r}")
-    return value
 
 
 def resolve_out_path(out: str | None) -> Path | None:
@@ -212,10 +263,10 @@ def resolve_out_path(out: str | None) -> Path | None:
 
 
 @contextlib.contextmanager
-def _output(out: str | None, parser: argparse.ArgumentParser):
+def _output(out: str | None):
     """The output stream: the --out file, or stdout. Enter it only after all
     validation and computation, so a usage error leaves no file behind. A
-    write that fails removes the partial file and exits 2."""
+    write that fails removes the partial file and raises ValidationError."""
     path = resolve_out_path(out)
     if path is None:
         yield sys.stdout
@@ -224,27 +275,28 @@ def _output(out: str | None, parser: argparse.ArgumentParser):
         path.parent.mkdir(parents=True, exist_ok=True)
         stream = open(path, "w", encoding="utf-8")
     except OSError as exc:
-        parser.error(f"cannot write output path {path}: {exc}")
+        raise ValidationError(f"cannot write output path {path}: {exc}") from exc
     try:
         with stream:
             yield stream
     except BaseException as exc:
         path.unlink(missing_ok=True)
         if isinstance(exc, OSError):
-            parser.error(f"cannot write output path {path}: {exc}")
+            raise ValidationError(f"cannot write output path {path}: {exc}") from exc
         raise
 
 
-def _parse_target(kind, target_spec, parser):
+def _parse_target(kind, target_spec):
     """(vartheta_deg, phi_deg) of --target for --correction custom, else None."""
     if kind != "custom":
         return None
     if not target_spec:
-        parser.error("--correction custom requires --target VARTHETA,PHI (degrees)")
+        raise ValidationError("--correction custom requires --target VARTHETA,PHI (degrees)")
     try:
         vt_deg, phi_deg = (_finite_float(p) for p in str(target_spec).split(","))
     except ValueError:
-        parser.error(f"--target expects 'VARTHETA,PHI' as finite degrees, got {target_spec!r}")
+        raise ValidationError(
+            f"--target expects 'VARTHETA,PHI' as finite degrees, got {target_spec!r}") from None
     return vt_deg, phi_deg
 
 
@@ -304,32 +356,23 @@ def _sweep_point(theta_deg, mode, correction_kind, target, shots, seed):
     return NDPoint(n, dcorr, theta=theta, corrected=corr_map is not None), d0
 
 
-def run_sweep(opt, parser) -> int:
-    mode = _check_choice(parser, "mode", opt.mode, _MODES_SWEEP)
-    correction = _check_choice(parser, "correction", opt.correction, _CORRECTIONS)
-    fmt = _check_choice(parser, "format", opt.format, _FORMATS)
-    if opt.shots < 1:
-        parser.error(f"--shots must be >= 1, got {opt.shots}")
-    if opt.seed < 0:
-        parser.error(f"--seed must be >= 0, got {opt.seed}")
+def run_sweep(opt) -> int:
     try:
         thetas = parse_theta_spec(opt.theta)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise ValidationError(str(exc)) from exc
     if not thetas:
-        parser.error("empty theta grid")
-    if opt.tolerance is not None and opt.tolerance < 0.0:
-        parser.error(f"--tolerance must be >= 0, got {opt.tolerance!r}")
-    target = _parse_target(correction, opt.target, parser)
+        raise ValidationError("empty theta grid")
+    target = _parse_target(opt.correction, opt.target)
     # analytic rows are exact; sampled rows get a 3-sigma-style slack
     tolerance = opt.tolerance
     if tolerance is None:
-        tolerance = 1e-9 if mode == "analytic" else 3.0 / math.sqrt(opt.shots)
+        tolerance = 1e-9 if opt.mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
-    if mode == "analytic":
-        n, d0, dcorr = (col.tolist() for col in _analytic_sweep(thetas, correction, target))
+    if opt.mode == "analytic":
+        n, d0, dcorr = (col.tolist() for col in _analytic_sweep(thetas, opt.correction, target))
     else:
-        points = [_sweep_point(t, mode, correction, target, opt.shots, opt.seed)
+        points = [_sweep_point(t, opt.mode, opt.correction, target, opt.shots, opt.seed)
                   for t in thetas]
         n = [float(p.noise) for p, _ in points]
         d0 = [float(d0) for _, d0 in points]
@@ -344,35 +387,35 @@ def run_sweep(opt, parser) -> int:
         [t <= 1.0 + tolerance for t in tight],
     ]))
     config = {
-        "mode": mode,
-        "correction": correction if correction != "custom" else f"custom({opt.target})",
+        "mode": opt.mode,
+        "correction": opt.correction if opt.correction != "custom" else f"custom({opt.target})",
         "shots": int(opt.shots),
         "seed": int(opt.seed),
         "tolerance": tolerance,
     }
-    with _output(opt.out, parser) as stream:
-        write_table(stream, columns, fmt, meta={"config": config})
+    with _output(opt.out) as stream:
+        write_table(stream, columns, opt.format, meta={"config": config})
     return EXIT_OK
 
 
 # ------------------------------------------------------- correct-search
 
 
-def run_correct_search(opt, parser) -> int:
-    fmt = _check_choice(parser, "format", opt.format, _FORMATS)
+def run_correct_search(opt) -> int:
     try:
         steps = [_finite_float(p) for p in str(opt.grid).split(",")]
     except ValueError:
-        parser.error(f"--grid expects STEP or VSTEP,PSTEP in degrees, got {opt.grid!r}")
+        raise ValidationError(
+            f"--grid expects STEP or VSTEP,PSTEP in degrees, got {opt.grid!r}") from None
     if len(steps) == 1:
         steps = steps * 2
     if len(steps) != 2 or steps[0] <= 0 or steps[1] <= 0:
-        parser.error(f"invalid grid steps {opt.grid!r}")
+        raise ValidationError(f"invalid grid steps {opt.grid!r}")
     # the lengths np.arange will give, capped so a tiny step cannot overflow
     sizes = [math.ceil(min((180.0 + step / 2) / step, MAX_SURFACE_CELLS + 1.0))
              for step in steps]
     if sizes[0] * sizes[1] > MAX_SURFACE_CELLS:
-        parser.error(f"--grid {opt.grid} exceeds {MAX_SURFACE_CELLS} lattice cells")
+        raise ValidationError(f"--grid {opt.grid} exceeds {MAX_SURFACE_CELLS} lattice cells")
     varthetas_deg = np.arange(0.0, 180.0 + steps[0] / 2, steps[0])
     phis_deg = np.arange(0.0, 180.0 + steps[1] / 2, steps[1])
 
@@ -387,57 +430,42 @@ def run_correct_search(opt, parser) -> int:
         file=sys.stderr,
     )
 
-    meta = None if fmt == "csv" else {
+    meta = None if opt.format == "csv" else {
         "theta_m_deg": float(opt.theta_m),
         "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
     columns = {"vartheta_deg": varthetas_deg[:, None], "phi_deg": phis_deg[None, :],
                "D": result.surface}
-    with _output(opt.out, parser) as stream:
-        write_table(stream, columns, fmt, meta=meta, rows_key="surface")
+    with _output(opt.out) as stream:
+        write_table(stream, columns, opt.format, meta=meta, rows_key="surface")
     return EXIT_OK
 
 
 # ------------------------------------------------------------- boundary
 
 
-def run_boundary(opt, parser) -> int:
-    fmt = _check_choice(parser, "format", opt.format, _FORMATS)
-    if opt.samples < 2:
-        parser.error(f"--samples must be >= 2, got {opt.samples}")
-    if opt.samples > MAX_SURFACE_CELLS:
-        parser.error(f"--samples must be <= {MAX_SURFACE_CELLS}, got {opt.samples}")
+def run_boundary(opt) -> int:
     curve = boundary_curve(opt.samples)
     columns = dict(zip(BOUNDARY_CSV_HEADER.split(","), [
         np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
         tight_value(curve.noise, curve.disturbance),
     ]))
-    with _output(opt.out, parser) as stream:
-        write_table(stream, columns, fmt, meta={"samples": int(opt.samples)})
+    with _output(opt.out) as stream:
+        write_table(stream, columns, opt.format, meta={"samples": int(opt.samples)})
     return EXIT_OK
 
 
 # ------------------------------------------------------------- simulate
 
 
-def run_simulate(opt, parser) -> int:
-    fmt = _check_choice(parser, "format", opt.format, _FORMATS)
-    mode = _check_choice(parser, "mode", opt.mode, _MODES_SIM)
-    family = _check_choice(parser, "family", opt.family, ("A", "B"))
-    correction = _check_choice(parser, "correction", opt.correction, _CORRECTIONS)
-    if opt.shots < 1:
-        parser.error(f"--shots must be >= 1, got {opt.shots}")
-    if opt.seed < 0:
-        parser.error(f"--seed must be >= 0, got {opt.seed}")
-    if not 0.0 < opt.efficiency <= 1.0:
-        parser.error(f"--efficiency must lie in (0, 1], got {opt.efficiency}")
-    target = _parse_target(correction, opt.target, parser)
+def run_simulate(opt) -> int:
+    target = _parse_target(opt.correction, opt.target)
     m = polar_observable(math.radians(opt.theta))
-    corr_map, corr_label = _make_correction(correction, target, m)
+    corr_map, corr_label = _make_correction(opt.correction, target, m)
     table = simulate_intensities(
-        m, corr_map, family, opt.shots, opt.seed, mode,
+        m, corr_map, opt.family, opt.shots, opt.seed, opt.mode,
         efficiency=opt.efficiency, correction_label=corr_label)
-    text = table.to_csv() if fmt == "csv" else table.to_json()
-    with _output(opt.out, parser) as stream:
+    text = table.to_csv() if opt.format == "csv" else table.to_json()
+    with _output(opt.out) as stream:
         stream.write(text)
     return EXIT_OK
 
@@ -582,13 +610,7 @@ def _verify_checks(opt):
     return checks
 
 
-def run_verify(opt, parser) -> int:
-    if opt.trials < 0:
-        parser.error(f"--trials must be >= 0, got {opt.trials}")
-    if opt.shots < 1:
-        parser.error(f"--shots must be >= 1, got {opt.shots}")
-    if opt.seed < 0:
-        parser.error(f"--seed must be >= 0, got {opt.seed}")
+def run_verify(opt) -> int:
     checks = _verify_checks(opt)
     width = max(len(name) for name, _, _ in checks)
     failures = 0
@@ -606,6 +628,8 @@ def run_verify(opt, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand of COMMANDS. Flags default to
+    None so that _resolve_options can tell a given flag from an absent one."""
     parser = argparse.ArgumentParser(
         prog="noisedist",
         description="Noise-disturbance tradeoffs for successive qubit measurements: "
@@ -613,60 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="key = value config file; CLI flags take precedence")
-
-    p = sub.add_parser("sweep", help="noise/disturbance values over a theta grid")
-    common(p)
-    p.add_argument("--theta", help=f"grid in degrees: values and start:stop:step ranges, "
-                                   f"comma separated (default {DEFAULT_THETA_SPEC})")
-    p.add_argument("--shots", type=int, help="shots per input state for sampled modes")
-    p.add_argument("--mode", help="analytic | multinomial | poisson")
-    p.add_argument("--correction", help="none | optimal | custom")
-    p.add_argument("--target", help="VARTHETA,PHI degrees for --correction custom")
-    p.add_argument("--seed", type=int, help="base RNG seed for sampled modes")
-    p.add_argument("--tolerance", type=float, help="bound-check slack (default: 1e-9 "
-                                                   "analytic, 3/sqrt(shots) sampled)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", help="csv | json")
-
-    p = sub.add_parser("correct-search", help="disturbance surface over re-preparation targets")
-    common(p)
-    p.add_argument("--theta-m", dest="theta_m", type=float,
-                   help="measurement polar angle in degrees (default 50)")
-    p.add_argument("--grid", help="lattice step(s) in degrees: STEP or VSTEP,PSTEP "
-                                  "(default 22.5)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", help="csv | json")
-
-    p = sub.add_parser("boundary", help="export the optimal tradeoff boundary")
-    common(p)
-    p.add_argument("--samples", type=int, help="number of boundary samples (default 91)")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", help="csv | json")
-
-    p = sub.add_parser("simulate", help="raw intensity table for one configuration")
-    common(p)
-    p.add_argument("--theta", type=float, help="measurement polar angle in degrees")
-    p.add_argument("--family", help="A (noise inputs) | B (disturbance inputs)")
-    p.add_argument("--shots", type=int, help="shots per input state")
-    p.add_argument("--mode", help="exact | multinomial | poisson")
-    p.add_argument("--correction", help="none | optimal | custom")
-    p.add_argument("--target", help="VARTHETA,PHI degrees for --correction custom")
-    p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--efficiency", type=float, help="uniform detector thinning in (0, 1]")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", help="csv | json")
-
-    p = sub.add_parser("verify", help="run the invariant battery; exit 1 on any failure")
-    common(p)
-    p.add_argument("--trials", type=int, help="ensemble-oracle trials (0 skips the section)")
-    p.add_argument("--shots", type=int, help="shots for the sampled-estimator check")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--perturb-disturbance", dest="perturb_disturbance", type=float,
-                   help="debug: lower disturbance by this many bits inside the bound "
-                        "checks (negative control; any nonzero value should FAIL them)")
+        for option in options:
+            p.add_argument(_flag(option.name), type=option.type,
+                           help=option.help or " | ".join(option.choices))
     return parser
 
 
@@ -682,9 +658,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    opt = _resolve_options(args, args.command, parser)
     try:
-        return _RUNNERS[args.command](opt, parser)
+        return _RUNNERS[args.command](_resolve_options(args))
     except NoiseDistError as exc:
         parser.error(str(exc))
 

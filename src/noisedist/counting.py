@@ -39,6 +39,10 @@ from .tables import write_table
 FAMILIES = ("A", "B")
 MODES = ("exact", "multinomial", "poisson")
 
+#: The most shots per input: 2**53 is the largest count a float64 holds
+#: exactly, and the samplers overflow well above it.
+MAX_SHOTS = 2**53
+
 _FAMILY_CODE = {"A": 0, "B": 1}
 
 CSV_HEADER = "family,input,mu,beta_prime,count"
@@ -103,8 +107,9 @@ class IntensityTable:
         arr = np.asarray(self.counts, dtype=float)
         if arr.shape != (2, 2, 2):
             raise ValidationError(f"counts must have shape (2, 2, 2), got {arr.shape}")
-        if np.any(arr < 0.0):
-            raise ValidationError("counts must be non-negative")
+        # written as a negated in-range test so that NaN fails it too
+        if not np.all((arr >= 0.0) & (arr < np.inf)):
+            raise ValidationError("counts must be finite and non-negative")
         object.__setattr__(self, "counts", arr)
 
     @property
@@ -181,6 +186,8 @@ def simulate_intensities(
     """
     if not _is_integer(shots) or shots < 1:
         raise ValidationError(f"shots must be a positive integer, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
     if not _is_integer(seed):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if mode not in MODES:

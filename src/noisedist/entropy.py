@@ -94,8 +94,8 @@ def binary_entropy_inverse(y):
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Joint distribution p(x, y) over two finite outcome alphabets, indexed
-    p[i, j] in the (+1, -1) storage order; entries must be non-negative and
-    sum to 1 within 1e-9.
+    p[i, j] in the (+1, -1) storage order; entries must be finite and
+    non-negative and sum to 1 within 1e-9.
     """
 
     p: np.ndarray
@@ -104,10 +104,11 @@ class JointTable:
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 2:
             raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            raise ValidationError("joint table entries must be non-negative")
+        # negated in-range tests, so that NaN fails them too
+        if not np.all((arr >= 0.0) & (arr < np.inf)):
+            raise ValidationError("joint table entries must be finite and non-negative")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"joint table must sum to 1, got {total!r}")
         object.__setattr__(self, "p", arr)
 
@@ -131,12 +132,9 @@ def conditional_entropy(joint, given: str = "y") -> float:
     """Conditional Shannon entropy of a 2D joint table, in bits.
 
     given="y" returns H(X|Y), given="x" returns H(Y|X). Accepts a JointTable
-    or a raw probability matrix.
+    or a raw probability matrix, which is checked as a JointTable.
     """
-    arr = joint.p if isinstance(joint, JointTable) else np.asarray(joint, dtype=float)
-    if not isinstance(joint, JointTable):
-        if np.any(arr < 0.0):
-            raise ValidationError("joint probabilities must be non-negative")
+    arr = (joint if isinstance(joint, JointTable) else JointTable(joint)).p
     if given == "y":
         return float(_cond_entropy_given_last(arr))
     if given == "x":

@@ -13,14 +13,17 @@ import noisedist.bounds
 import noisedist.cli
 from noisedist import IntensityTable, NoiseDistError
 from noisedist.cli import (
+    COMMANDS,
     DEFAULT_THETA_SPEC,
     ENV_OUTDIR,
     MAX_SURFACE_CELLS,
     MAX_THETA_POINTS,
+    MAX_TRIALS,
     SWEEP_CSV_HEADER,
     main,
     parse_theta_spec,
 )
+from noisedist.counting import MAX_SHOTS
 
 H_SIN45 = 0.6008760366928561
 H_HALF = 0.81127812445913286
@@ -182,6 +185,49 @@ class TestConfigPrecedence:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("shots = many\n")
         run_usage_error(["sweep", "--config", str(cfg)])
+
+
+# A small value for every option of every command; "table.out" lands in
+# the temporary directory through NOISEDIST_OUTDIR.
+CONFIG_VALUES = {
+    "sweep": {"theta": "10,50", "shots": "2000", "mode": "multinomial",
+              "correction": "custom", "target": "30,60", "seed": "3", "tolerance": "0.5",
+              "out": "table.out", "format": "json"},
+    "correct-search": {"theta_m": "30", "grid": "45,90", "out": "table.out",
+                       "format": "json"},
+    "boundary": {"samples": "5", "out": "table.out", "format": "json"},
+    "simulate": {"theta": "30", "family": "A", "shots": "1000", "mode": "poisson",
+                 "correction": "custom", "target": "20,70", "seed": "3", "efficiency": "0.8",
+                 "out": "table.out", "format": "json"},
+    "verify": {"trials": "0", "shots": "10000", "seed": "2", "perturb_disturbance": "0.05"},
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, option.name) for command, (_, options) in COMMANDS.items() for option in options
+])
+def test_every_option_reads_the_same_from_a_config_file(
+        command, key, tmp_path, monkeypatch, capsys):
+    assert set(CONFIG_VALUES[command]) == {option.name for option in COMMANDS[command][1]}
+    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {CONFIG_VALUES[command][key]}\n")
+
+    def run(given):
+        argv = [command]
+        for name, value in CONFIG_VALUES[command].items():
+            if name in given:
+                argv += [f"--{name.replace('_', '-')}", value]
+        if key not in given:
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        out_file = tmp_path / "table.out"
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, capsys.readouterr().out, written
+
+    every = set(CONFIG_VALUES[command])
+    assert run(every - {key}) == run(every)
 
 
 class TestOutDirEnv:
@@ -432,6 +478,29 @@ class TestSizeCaps:
         with pytest.raises(Reached) as reached:
             main(["correct-search", "--grid", "0.1"])
         assert reached.value.args[0] == 1801 * 1801 <= MAX_SURFACE_CELLS
+
+    def test_shot_cap(self, tmp_path, monkeypatch, capsys):
+        # numpy's samplers overflow above MAX_SHOTS, which used to exit 1
+        monkeypatch.setattr(noisedist.cli, "simulate_intensities", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", _must_not_run)
+        out = tmp_path / "out"
+        for shots in (10**20, MAX_SHOTS + 1):
+            for argv in (["sweep", "--mode", "multinomial", "--out", str(out)],
+                         ["sweep", "--mode", "poisson", "--out", str(out)],
+                         ["simulate", "--mode", "poisson", "--out", str(out)],
+                         ["verify"]):
+                run_usage_error(argv + ["--shots", str(shots)])
+                err = capsys.readouterr().err
+                assert f"--shots must be <= {MAX_SHOTS}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_trial_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(noisedist.cli, "simulate_intensities", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", _must_not_run)
+        for trials in (10**11, MAX_TRIALS + 1):
+            run_usage_error(["verify", "--trials", str(trials)])
+            err = capsys.readouterr().err
+            assert f"--trials must be <= {MAX_TRIALS}" in err and "Traceback" not in err
 
     def test_boundary_sample_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(noisedist.cli, "boundary_curve", _must_not_run)

@@ -24,7 +24,7 @@ from noisedist import (
     theory_disturbance_uncorrected,
     theory_noise,
 )
-from noisedist.counting import CSV_HEADER, EstimatedProbabilities
+from noisedist.counting import CSV_HEADER, MAX_SHOTS, MODES, EstimatedProbabilities
 from scalar_reference import scalar_exact_counts
 
 H_SIN45 = 0.6008760366928561
@@ -130,6 +130,19 @@ class TestSimulate:
             simulate_intensities(m, None, "A", 10, -1, "multinomial")
         with pytest.raises(ValidationError):
             simulate_intensities(m, None, "A", 10, 0, "exact", efficiency=0.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shot_cap(self, mode):
+        # above the cap the samplers overflow (OverflowError in multinomial,
+        # "lam value too large" in poisson); at it every count is exact
+        m = polar_observable(0.7)
+        for shots in (10**20, MAX_SHOTS + 1):
+            with pytest.raises(ValidationError, match="at most"):
+                simulate_intensities(m, None, "B", shots, 0, mode)
+        table = simulate_intensities(m, None, "B", MAX_SHOTS, 0, mode)
+        assert np.all(np.isfinite(table.counts))
+        if mode == "multinomial":
+            assert np.all(table.counts.sum(axis=(1, 2)) == MAX_SHOTS)
 
     @pytest.mark.parametrize("shots", [True, False, 10.0, np.float64(10.0)])
     def test_non_integer_shots_rejected(self, shots):
@@ -287,6 +300,14 @@ class TestNDFromCounts:
         with pytest.raises(ValidationError):
             nd_from_counts(b, a)
 
+    def test_nan_count_is_not_zero_bits_of_disturbance(self):
+        # a NaN marginal used to be dropped as a zero-mass outcome, and the
+        # table then read 0 bits of disturbance
+        a, b = make_tables(math.degrees(0.7), 1000, 0, "exact")
+        b.counts[0, 0, 0] = math.nan
+        with pytest.raises(ValidationError):
+            nd_from_counts(a, b)
+
 
 class TestSerialization:
     def test_csv_header_and_shape(self):
@@ -321,3 +342,10 @@ class TestSerialization:
             IntensityTable("A", np.zeros((2, 2)), 0.0, 10, 0, "exact")
         with pytest.raises(ValidationError):
             IntensityTable("A", -np.ones((2, 2, 2)), 0.0, 10, 0, "exact")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        counts = np.ones((2, 2, 2))
+        counts[1, 0, 1] = bad
+        with pytest.raises(ValidationError):
+            IntensityTable("A", counts, 0.0, 10, 0, "exact")

@@ -212,6 +212,17 @@ class TestConditionalEntropy:
     def test_table_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             JointTable([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValidationError):
+            conditional_entropy(np.array([[0.5, 0.5], [0.5, 0.5]]), given="y")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes both "< 0" and "|total - 1| > 1e-9"; it must raise
+        p = np.array([[0.5, 0.0], [0.5, bad]])
+        with pytest.raises(ValidationError):
+            JointTable(p)
+        with pytest.raises(ValidationError):
+            conditional_entropy(p, given="y")
 
     def test_table_must_be_two_dimensional(self):
         with pytest.raises(ValidationError):

@@ -195,7 +195,8 @@ def test_help_text_is_pinned(command, monkeypatch, capsys):
 USAGE_GOLDEN = {
     "unknown-command": (
         ["polarize"],
-        "noisedist: error: argument command: invalid choice: 'polarize' (choose from 'sweep', 'correct-search', 'boundary', 'simulate', 'verify')",
+        "noisedist: error: argument command: invalid choice: 'polarize' (choose from "
+        "'sweep', 'correct-search', 'boundary', 'simulate', 'verify')",
         "7f08e524fb162e7ef2031b87b19dfa5806758dd09995c71ce0f7d535ac16537d"),
     "sweep-mode": (
         ["sweep", "--mode", "quantum"],
@@ -227,7 +228,8 @@ USAGE_GOLDEN = {
         "1f7a248cd28b599f4ac66497d2f74f62360235e7ff338ab6aa16c58ad79601a1"),
     "sweep-unwritable-out": (
         ["sweep", "--theta", "45", "--out", "{tmp}/file/sub/y.csv"],
-        "noisedist: error: cannot write output path {tmp}/file/sub/y.csv: [Errno 20] Not a directory: '{tmp}/file/sub'",
+        "noisedist: error: cannot write output path {tmp}/file/sub/y.csv: "
+        "[Errno 20] Not a directory: '{tmp}/file/sub'",
         "a0f9bc4c357f3d6100402747666d63cc878f546ac5462db28553cc00887bba90"),
     "sweep-theta-cap": (
         ["sweep", "--theta", "0:1e9:1e-9"],
@@ -279,7 +281,8 @@ USAGE_GOLDEN = {
         "01024490ffbbb65c9c5c51dcaddc600e8708ac2282d087306491030242e67699"),
     "boundary-disk-full": (
         ["boundary", "--out", "{tmp}/curve.csv"],
-        "noisedist: error: cannot write output path {tmp}/curve.csv: [Errno 28] No space left on device",
+        "noisedist: error: cannot write output path {tmp}/curve.csv: "
+        "[Errno 28] No space left on device",
         "1e98942c3662c6fe1b92c4fef62f409db56747597bbdb0a5c89d4d0949afb742"),
     "simulate-family": (
         ["simulate", "--family", "Q"],
