@@ -94,8 +94,8 @@ def binary_entropy_inverse(y):
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Joint distribution p(x, y) over two finite outcome alphabets, indexed
-    p[i, j] in the (+1, -1) storage order; entries must be finite and
-    non-negative and sum to 1 within 1e-9.
+    p[i, j] in the (+1, -1) storage order; entries must be non-negative and
+    sum to 1 within 1e-9.
     """
 
     p: np.ndarray
@@ -104,9 +104,10 @@ class JointTable:
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 2:
             raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
-        # negated in-range tests, so that NaN fails them too
-        if not np.all((arr >= 0.0) & (arr < np.inf)):
-            raise ValidationError("joint table entries must be finite and non-negative")
+        # negated in-range tests, so that NaN fails them too; entries that
+        # are non-negative and sum to 1 are finite
+        if not np.all(arr >= 0.0):
+            raise ValidationError("joint table entries must be non-negative")
         total = float(arr.sum())
         if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"joint table must sum to 1, got {total!r}")
