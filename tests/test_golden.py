@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+import noisedist
 import noisedist.cli
 from noisedist import NoiseDistError
 from noisedist.cli import main
@@ -380,6 +381,28 @@ USAGE_GOLDEN = {
         ["sweep", "--mode", "multinomial", "--shots", "0"],
         "noisedist: error: --shots must be >= 1, got 0",
         "786d805c68e57fea81aff17943297a48a76f589070d9da56249eb4aa9fc2fbf8"),
+    # argparse errors reported by the program's parser, whose usage line
+    # lists every command
+    "no-command": (
+        [],
+        "noisedist: error: the following arguments are required: command",
+        "dffec89e7f2a7ab775d8881b34d1cf38593c5e68ef31d0d44d40955af4c88789"),
+    "sweep-unknown-flag": (
+        ["sweep", "--bogus", "1"],
+        "noisedist: error: unrecognized arguments: --bogus 1",
+        "27fe2a4bcadc243c4dd5f2ebf15953272242c8a4d5a8d739311e4c8bc4426f37"),
+    "boundary-extra-positional": (
+        ["boundary", "extra"],
+        "noisedist: error: unrecognized arguments: extra",
+        "41ec7f0688341310c60df97a90ef7a98b205641ec323faea4c8fcabaaea739e0"),
+    "sweep-version": (
+        ["sweep", "--version"],
+        "noisedist: error: unrecognized arguments: --version",
+        "65ec763aa7d05ad8d0dddfc7d8ebe4673d256e3a4534e69886b7c57de1eb85d7"),
+    "verify-extra-positional": (
+        ["verify", "--trials", "5", "extra"],
+        "noisedist: error: unrecognized arguments: extra",
+        "41ec7f0688341310c60df97a90ef7a98b205641ec323faea4c8fcabaaea739e0"),
 }
 
 # config file text -> (last line of stderr, SHA-256 of stderr) of
@@ -435,6 +458,18 @@ def _usage_error(argv, tmp_path, capsys):
     code, _, err = _run([arg.replace("{tmp}", str(tmp_path)) for arg in argv], capsys)
     err = err.replace(str(tmp_path), "{tmp}")
     return code, err.splitlines()[-1], _sha(err)
+
+
+def test_version_text_is_pinned(capsys):
+    assert _run(["--version"], capsys) == (0, f"noisedist {noisedist.__version__}\n", "")
+
+
+def test_unambiguous_flag_prefix_is_the_flag(tmp_path):
+    # argparse accepts any unambiguous prefix of a long flag
+    paths = [tmp_path / "prefix.csv", tmp_path / "flag.csv"]
+    assert main(["sweep", "--the", "10", "--out", str(paths[0])]) == 0
+    assert main(["sweep", "--theta", "10", "--out", str(paths[1])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_GOLDEN))
