@@ -627,9 +627,25 @@ def run_verify(opt) -> int:
 # ----------------------------------------------------------------- main
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with every subcommand of COMMANDS. Flags default to
-    None so that _resolve_options can tell a given flag from an absent one."""
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """--config and the options of `command`. Flags default to None so that
+    _resolve_options can tell a given flag from an absent one."""
+    parser.add_argument("--config", help="key = value config file; CLI flags take precedence")
+    for option in COMMANDS[command][1]:
+        parser.add_argument(_flag(option.name), type=option.type,
+                            help=option.help or " | ".join(option.choices))
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, with every subcommand of COMMANDS; or, given a
+    command, that command's parser alone. It prints the same help, usage and
+    errors as the full parser's subparser, which `add_parser` creates with
+    only `prog` set."""
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"noisedist {command}")
+        _add_options(parser, command)
+        parser.set_defaults(command=command)
+        return parser
     parser = argparse.ArgumentParser(
         prog="noisedist",
         description="Noise-disturbance tradeoffs for successive qubit measurements: "
@@ -637,12 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, options) in COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        p.add_argument("--config", help="key = value config file; CLI flags take precedence")
-        for option in options:
-            p.add_argument(_flag(option.name), type=option.type,
-                           help=option.help or " | ".join(option.choices))
+    for name, (text, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -656,12 +668,21 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. The command named in argv[0] is parsed by its own
+    parser alone. The full parser, whose usage line lists every command,
+    handles everything else: help and --version, a missing or unknown
+    command, arguments the command's parser leaves over, and every error
+    raised after parsing."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extras = None
+    if argv and argv[0] in COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](_resolve_options(args))
     except NoiseDistError as exc:
-        parser.error(str(exc))
+        build_parser().error(str(exc))
 
 
 if __name__ == "__main__":

@@ -87,7 +87,9 @@ class IntensityTable:
     exact mode holds real-valued expected counts, sampled modes hold integer
     values. In exact and multinomial modes the counts for one input sum to at
     most `shots` (with equality when efficiency = 1); poisson cell draws are
-    unbounded, so that invariant intentionally does not apply there.
+    unbounded, so that invariant intentionally does not apply there. The
+    table keeps its own read-only copy of the counts, so they stay as
+    validated whatever the caller does to its array.
     """
 
     family: str
@@ -104,12 +106,13 @@ class IntensityTable:
             raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        arr = np.asarray(self.counts, dtype=float)
+        arr = np.array(self.counts, dtype=float)
         if arr.shape != (2, 2, 2):
             raise ValidationError(f"counts must have shape (2, 2, 2), got {arr.shape}")
         # written as a negated in-range test so that NaN fails it too
         if not np.all((arr >= 0.0) & (arr < np.inf)):
             raise ValidationError("counts must be finite and non-negative")
+        arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
 
     @property

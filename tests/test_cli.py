@@ -3,7 +3,11 @@ precedence, schemas, and exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -437,6 +441,113 @@ def test_version_flag():
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+# ------------------------------------------------------ per-command parser
+
+
+def _value(option):
+    """A value of the option's type that its parser accepts."""
+    if option.choices:
+        return option.choices[-1]
+    return {int: "3", float: "2.5"}.get(option.type, "1,2")
+
+
+def _prefix(flag, flags):
+    """The shortest prefix of `flag` that no other flag starts with, or None
+    when only the whole flag is unambiguous."""
+    for end in range(3, len(flag)):
+        if not any(other.startswith(flag[:end]) for other in flags if other != flag):
+            return flag[:end]
+    return None
+
+
+def _parse_cases():
+    """argv of each command alone, and with each of its options given as
+    `--flag value`, `--flag=value` and a prefix (where one exists)."""
+    cases = [[command] for command in COMMANDS]
+    for command, (_, options) in COMMANDS.items():
+        given = [("--config", "run.cfg")]
+        given += [(noisedist.cli._flag(o.name), _value(o)) for o in options]
+        flags = ["--help"] + [flag for flag, _ in given]
+        for flag, value in given:
+            cases += [[command, flag, value], [command, f"{flag}={value}"]]
+            prefix = _prefix(flag, flags)
+            if prefix:
+                cases.append([command, prefix, value])
+    return cases
+
+
+PARSE_CASES = _parse_cases()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_command_parser_reads_argv_as_the_full_parser(argv):
+    build_parser = noisedist.cli.build_parser
+    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == vars(
+        build_parser().parse_args(argv))
+
+
+def test_every_flag_is_also_given_as_a_prefix():
+    flags = {"--config"} | {noisedist.cli._flag(o.name)
+                            for _, options in COMMANDS.values() for o in options}
+    prefixed = [argv for argv in PARSE_CASES if len(argv) == 3 and argv[1] not in flags]
+    assert len(prefixed) == sum(len(options) + 1 for _, options in COMMANDS.values())
+
+
+def _recorded_parsers(monkeypatch):
+    """The arguments of every build_parser call main makes."""
+    calls = []
+    real = noisedist.cli.build_parser
+
+    def recorder(*args, **kwargs):
+        calls.append(args + tuple(kwargs.values()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(noisedist.cli, "build_parser", recorder)
+    return calls
+
+
+@pytest.mark.parametrize("argv,code,parsers", [
+    (["sweep", "--theta", "10"], 0, [("sweep",)]),
+    # an error after parsing is reported by the full parser
+    (["sweep", "--theta", "nan"], 2, [("sweep",), ()]),
+    # so are arguments the command's parser does not know
+    (["sweep", "--bogus", "1"], 2, [("sweep",), ()]),
+    (["--help"], 0, [()]),
+], ids=["sweep", "sweep-error", "sweep-unknown-flag", "help"])
+def test_main_builds_the_named_command_parser_only(argv, code, parsers, monkeypatch, capsys):
+    calls = _recorded_parsers(monkeypatch)
+    try:
+        assert main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    capsys.readouterr()
+    assert calls == parsers
+
+
+def _module_cli(args):
+    """`python -m noisedist.cli ARGS` at 80 columns, as a subprocess."""
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "noisedist.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    argv = ["sweep", "--theta", "10,50"]
+    proc = _module_cli(argv)
+    assert main(argv) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_module_entry_point_without_arguments():
+    proc = _module_cli([])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: noisedist [-h] [--version]\n"
+                                  "                 {sweep,correct-search,boundary,simulate,"
+                                  "verify} ...\n")
 
 
 def _must_not_run(*args, **kwargs):

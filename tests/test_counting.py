@@ -303,8 +303,11 @@ class TestNDFromCounts:
     def test_nan_count_is_not_zero_bits_of_disturbance(self):
         # a NaN marginal used to be dropped as a zero-mass outcome, and the
         # table then read 0 bits of disturbance
+        # the table's own counts are read-only, so the NaN goes in past them
         a, b = make_tables(math.degrees(0.7), 1000, 0, "exact")
-        b.counts[0, 0, 0] = math.nan
+        bad = b.counts.copy()
+        bad[0, 0, 0] = math.nan
+        object.__setattr__(b, "counts", bad)
         with pytest.raises(ValidationError):
             nd_from_counts(a, b)
 
@@ -342,6 +345,14 @@ class TestSerialization:
             IntensityTable("A", np.zeros((2, 2)), 0.0, 10, 0, "exact")
         with pytest.raises(ValidationError):
             IntensityTable("A", -np.ones((2, 2, 2)), 0.0, 10, 0, "exact")
+
+    def test_table_keeps_its_own_counts(self):
+        counts = np.ones((2, 2, 2))
+        t = IntensityTable("A", counts, 0.0, 10, 0, "exact")
+        counts[0, 0, 0] = math.nan
+        assert np.array_equal(t.counts, np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="read-only"):
+            t.counts[0, 0, 0] = math.nan
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_counts_rejected(self, bad):
