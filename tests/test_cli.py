@@ -500,9 +500,9 @@ def _recorded_parsers(monkeypatch):
     calls = []
     real = noisedist.cli.build_parser
 
-    def recorder(*args, **kwargs):
-        calls.append(args + tuple(kwargs.values()))
-        return real(*args, **kwargs)
+    def recorder(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(noisedist.cli, "build_parser", recorder)
     return calls
