@@ -155,6 +155,14 @@ class TestSweep:
         run_ok(["sweep", "--theta", "45", "--tolerance", "0", "--out", str(out)])
         assert out.exists()
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_empty_table_writes_no_file(self, seed, tmp_path):
+        # seed 0 meets an empty table, 1 and 2 an empty input row
+        out = tmp_path / "sweep.csv"
+        run_usage_error(["sweep", "--mode", "poisson", "--shots", "1", "--theta", "0:180:10",
+                         "--seed", seed, "--out", str(out)])
+        assert not out.exists()
+
     def test_unwritable_output_path(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")

@@ -190,6 +190,9 @@ def test_help_text_is_pinned(command, monkeypatch, capsys):
     assert (code, err, _sha(out)) == (0, "", HELP_GOLDEN[command])
 
 
+#: a Poisson sweep with one shot per input, less its seed value
+SHOT_STARVED = ["sweep", "--mode", "poisson", "--shots", "1", "--theta", "0:180:10", "--seed"]
+
 # argv -> (last line of stderr, SHA-256 of all of stderr); exit code 2. In
 # argv and stderr, "{tmp}" stands for a fresh directory. The "probe-*" cases
 # are the edge-input probes every benchmark pass carries.
@@ -403,6 +406,20 @@ USAGE_GOLDEN = {
         ["verify", "--trials", "5", "extra"],
         "noisedist: error: unrecognized arguments: extra",
         "41ec7f0688341310c60df97a90ef7a98b205641ec323faea4c8fcabaaea739e0"),
+    # one shot per input leaves tables empty; the first faulty table, angle
+    # by angle and within an angle A, then B, then corrected B, is reported
+    "sweep-empty-table": (
+        SHOT_STARVED + ["0"],
+        "noisedist: error: no counts in table",
+        "2cc79f68ed2448db3fc45a97c65abd60982fdec0913b9d1266c3545b036d692f"),
+    "sweep-empty-row-a": (
+        SHOT_STARVED + ["1"],
+        "noisedist: error: input row with zero counts in family A; conditionals undefined",
+        "cb6319cf8e4f2e9341840c8b58cd1aa4da593871d1b5d07754444b31893eb223"),
+    "sweep-empty-row-b": (
+        SHOT_STARVED + ["2"],
+        "noisedist: error: input row with zero counts in family B; conditionals undefined",
+        "87948b07528efc1196821645e402abdc77df6c8439c213fccd05b108c63157c5"),
 }
 
 # config file text -> (last line of stderr, SHA-256 of stderr) of
