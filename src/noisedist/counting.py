@@ -1,5 +1,5 @@
 """Counting-statistics simulation of the two-measurement experiment and the
-intensity-ratio estimators that recover noise and disturbance from counts.
+estimator that recovers noise and disturbance from the counts.
 
 A run sends the two eigenstates of one observable (family "A": eigenstates
 of A feeding the noise estimate; family "B": eigenstates of B feeding the
@@ -10,7 +10,9 @@ Reproducibility contract: sampled modes draw from a numpy PCG64 generator
 seeded with SeedSequence([seed, family code, input index, axis bit patterns,
 correction target bit patterns]). Every (seed, configuration) pair therefore
 has its own independent stream, identical across runs, platforms, and any
-order of evaluation.
+order of evaluation. The estimate of H(input|out) is the plug-in conditional
+entropy of the count joint n[input, out] / total, in elementwise arithmetic
+with no BLAS call, so it does not depend on the BLAS kernel numpy picks.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .bloch import (
     Observable,
     ProjectiveInstrument,
 )
-from .entropy import JointTable, NDPoint, conditional_entropy, joint_tables
+from .entropy import NDPoint, _cond_entropy_given_last, joint_tables
 from .errors import EstimationError, ValidationError
 from .tables import write_table
 
@@ -254,6 +256,30 @@ class EstimatedProbabilities:
     dropped: tuple = ()
 
 
+def _count_joint(counts, families: str):
+    """The counts n[..., input, out] of stacked intensity tables
+    (..., k, 2, 2, 2), where table j of each stack is of family families[j]
+    ("out" is mu for family A, beta' for family B), with their per-input and
+    total sums. Counts must be finite and non-negative (ValidationError); the
+    first table in C order with an empty input row raises EstimationError."""
+    counts = np.asarray(counts, dtype=float)
+    # a negated in-range test, so that NaN fails it too
+    if not np.all((counts >= 0.0) & (counts < np.inf)):
+        raise ValidationError("counts must be finite and non-negative")
+    is_b = np.array([family == "B" for family in families])[:, None, None]
+    n = np.where(is_b, counts[..., 0, :] + counts[..., 1, :], counts[..., 0] + counts[..., 1])
+    per_input = n[..., 0] + n[..., 1]
+    total = per_input[..., 0] + per_input[..., 1]
+    empty = np.flatnonzero(np.any(per_input == 0.0, axis=-1))
+    if empty.size:
+        if total.flat[empty[0]] == 0.0:
+            raise EstimationError("no counts in table")
+        family = families[empty[0] % len(families)]
+        raise EstimationError(
+            f"input row with zero counts in family {family}; conditionals undefined")
+    return n, per_input, total
+
+
 def estimate_probabilities(table: IntensityTable) -> EstimatedProbabilities:
     """Marginalization-ratio estimators for the input distribution and the
     forward conditionals.
@@ -261,21 +287,9 @@ def estimate_probabilities(table: IntensityTable) -> EstimatedProbabilities:
     Family A: p(alpha) and p(mu|alpha), summing intensities over beta'.
     Family B: p(beta) and p(beta'|beta), summing intensities over mu.
     """
-    per_input = table.counts.sum(axis=(1, 2))
-    total = per_input.sum()
-    if total <= 0.0:
-        raise EstimationError("no counts in table")
-    if np.any(per_input == 0.0):
-        raise EstimationError(
-            f"input row with zero counts in family {table.family}; conditionals undefined"
-        )
-    p_input = per_input / total
-    sum_axis = 2 if table.family == "A" else 1
-    out_counts = table.counts.sum(axis=sum_axis)
-    p_out_given_in = out_counts / per_input[:, None]
-    return EstimatedProbabilities(
-        family=table.family, p_input=p_input, p_out_given_in=p_out_given_in
-    )
+    n, per_input, total = _count_joint(table.counts[None], table.family)
+    return EstimatedProbabilities(family=table.family, p_input=per_input[0] / total[0],
+                                  p_out_given_in=n[0] / per_input[0, :, None])
 
 
 def bayes_invert(est: EstimatedProbabilities) -> EstimatedProbabilities:
@@ -285,32 +299,29 @@ def bayes_invert(est: EstimatedProbabilities) -> EstimatedProbabilities:
     Outcomes with p(out) = 0 are dropped (flagged, posterior row zeroed)
     rather than raised, consistent with the entropy convention.
     """
-    p_out = est.p_input @ est.p_out_given_in
+    joint = est.p_input[:, None] * est.p_out_given_in  # [in, out]
+    p_out = joint.sum(axis=0)
     keep = p_out > 0.0
-    p_in_given_out = np.zeros((len(p_out), len(est.p_input)))
-    for j in np.flatnonzero(keep):
-        p_in_given_out[j] = est.p_input * est.p_out_given_in[:, j] / p_out[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_in_given_out = np.where(keep[:, None], joint.T / p_out[:, None], 0.0)
     dropped = tuple(OUTCOMES[j] for j in np.flatnonzero(~keep))
     return replace(est, p_out=p_out, p_in_given_out=p_in_given_out, dropped=dropped)
 
 
-def _conditional_entropy_from_estimate(est: EstimatedProbabilities) -> float:
-    if est.p_out is None:
-        est = bayes_invert(est)
-    # joint[in, out] = p(in|out) p(out); dropped outcomes contribute zero mass
-    joint = est.p_in_given_out.T * est.p_out[None, :]
-    return conditional_entropy(JointTable(joint), given="y")
+def _input_entropy_given_out(counts, families: str) -> np.ndarray:
+    """H(input|out) in bits of stacked intensity tables laid out as for
+    _count_joint: the plug-in conditional entropy of n[input, out] / total."""
+    n, _, total = _count_joint(counts, families)
+    return _cond_entropy_given_last(n / total[..., None, None])
 
 
 def nd_from_counts(table_a: IntensityTable, table_b: IntensityTable) -> NDPoint:
-    """Noise H(A|M) and disturbance H(B|B') from one pair of intensity
-    tables, via the ratio estimators and Bayes inversion."""
+    """Noise H(A|M) and disturbance H(B|B') from one pair of intensity tables."""
     if table_a.family != "A" or table_b.family != "B":
         raise ValidationError(
             f"expected families ('A', 'B'), got ({table_a.family!r}, {table_b.family!r})"
         )
-    n = _conditional_entropy_from_estimate(estimate_probabilities(table_a))
-    d = _conditional_entropy_from_estimate(estimate_probabilities(table_b))
+    n, d = _input_entropy_given_out([table_a.counts, table_b.counts], "AB")
     return NDPoint(
         noise=n,
         disturbance=d,

@@ -1,11 +1,19 @@
-"""Reference oracle for the Born-rule kernel: the per-branch scalar arithmetic
-that noise, disturbance, the sequential joint distribution and the
-correction surface used before they became reductions of one array kernel.
+"""Reference oracles for the array kernels.
 
-The kernel is specified to reproduce these values bit for bit, so tests
-compare against them with ==. Nothing here calls the kernel (`born`,
-`joint_tables`, `noise_bits`, `disturbance_bits`) or the conditional-entropy
-helper it shares.
+For the Born-rule kernel: the per-branch scalar arithmetic that noise,
+disturbance, the sequential joint distribution and the correction surface
+used before they became reductions of one array kernel. The kernel is
+specified to reproduce these values bit for bit, so tests compare against
+them with ==.
+
+For the count estimator: the ratio estimators and Bayes inversion that
+recovered H(input|out) from an intensity table before it became the plug-in
+entropy of the count joint. The two routes round differently, so tests
+compare them within 1e-15.
+
+Nothing here calls the kernel (`born`, `joint_tables`, `noise_bits`,
+`disturbance_bits`), the count estimator or the conditional-entropy helper
+they share.
 """
 
 import numpy as np
@@ -69,3 +77,20 @@ def scalar_exact_counts(measurement, correction, input_obs, b, shots, efficiency
         shots * efficiency * scalar_joint(input_obs.eigenstate(outcome), inst, b)
         for outcome in OUTCOMES
     ])
+
+
+def bayes_entropy(counts, family):
+    """H(input|out) in bits of one intensity table [input, mu, beta'], where
+    "out" is mu for family "A" and beta' for family "B": p(input) and
+    p(out|input) from the counts, p(out) = p(input) @ p(out|input), the
+    posterior p(input|out) one kept outcome at a time (outcomes with
+    p(out) = 0 are dropped), then the joint p(input|out) p(out)."""
+    counts = np.asarray(counts, dtype=float)
+    per_input = counts.sum(axis=(1, 2))
+    p_input = per_input / per_input.sum()
+    p_out_given_in = counts.sum(axis=2 if family == "A" else 1) / per_input[:, None]
+    p_out = p_input @ p_out_given_in
+    posterior = np.zeros((2, 2))
+    for j in np.flatnonzero(p_out > 0.0):
+        posterior[j] = p_input * p_out_given_in[:, j] / p_out[j]
+    return float(cond_entropy_given_last(posterior.T * p_out[None, :]))

@@ -15,6 +15,7 @@ import pytest
 
 import noisedist.bounds
 import noisedist.cli
+import noisedist.entropy
 from noisedist import IntensityTable, NoiseDistError
 from noisedist.cli import (
     COMMANDS,
@@ -384,6 +385,18 @@ class TestVerify:
         assert "skipped" in captured.err
         assert "ensemble-oracle" not in captured.out
 
+    def test_ill_conditioned_roundtrip_is_not_a_failure(self, capsys):
+        # seed 517086 draws x = 1.75e-7, where h is so flat that rounding h(x)
+        # to a double alone moves g by 3.5e-10
+        assert main(["verify", "--seed", "517086", "--trials", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  entropy-roundtrip    max|g(h(x))-x|=3.490e-10 over" in out
+
+    def test_unconverged_inverse_fails_roundtrip(self, monkeypatch, capsys):
+        monkeypatch.setattr(noisedist.entropy, "_NEWTON_STEPS", 2)
+        assert main(["verify", "--seed", "517086", "--trials", "0", "--shots", "20000"]) == 1
+        assert "FAIL  entropy-roundtrip" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--theta", "nan"],
@@ -439,6 +452,26 @@ def test_analytic_pipeline_makes_one_kernel_call_per_quantity(
     assert main(argv) == 0
     capsys.readouterr()
     assert seen == {"noise_bits": 1, "disturbance_bits": disturbance_calls}
+
+
+@pytest.mark.parametrize("argv,families", [
+    (["sweep", "--theta", "0:180:15", "--mode", "multinomial", "--shots", "2000"], "ABB"),
+    (["sweep", "--theta", "0:180:15", "--mode", "poisson", "--correction", "none"], "AB"),
+    (["sweep", "--theta", "5,50", "--mode", "poisson", "--correction", "custom",
+      "--target", "30,60"], "ABB"),
+], ids=["sweep-optimal", "sweep-none", "sweep-custom"])
+def test_sampled_sweep_makes_one_estimator_call(argv, families, monkeypatch, capsys):
+    calls = []
+    real = noisedist.cli._input_entropy_given_out
+
+    def counted(counts, fams):
+        calls.append((np.shape(counts), fams))
+        return real(counts, fams)
+
+    monkeypatch.setattr(noisedist.cli, "_input_entropy_given_out", counted)
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert calls == [((len(rows), len(families), 2, 2, 2), families)]
 
 
 def test_unknown_command_is_usage_error():
@@ -569,7 +602,7 @@ class TestSizeCaps:
     def test_theta_grid_cap(self, tmp_path, monkeypatch):
         # parse_theta_spec would fill a list of 1e18 floats with range()
         monkeypatch.setattr(noisedist.cli, "range", _must_not_run, raising=False)
-        monkeypatch.setattr(noisedist.cli, "_sweep_point", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_counted_sweep", _must_not_run)
         monkeypatch.setattr(noisedist.cli, "_analytic_sweep", _must_not_run)
         out = tmp_path / "out"
         run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--out", str(out)])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noisedist import (
     SIGMA_Y,
@@ -24,8 +26,15 @@ from noisedist import (
     theory_disturbance_uncorrected,
     theory_noise,
 )
-from noisedist.counting import CSV_HEADER, MAX_SHOTS, MODES, EstimatedProbabilities
-from scalar_reference import scalar_exact_counts
+from noisedist.bloch import OUTCOMES
+from noisedist.counting import (
+    CSV_HEADER,
+    MAX_SHOTS,
+    MODES,
+    EstimatedProbabilities,
+    _input_entropy_given_out,
+)
+from scalar_reference import bayes_entropy, scalar_exact_counts
 
 H_SIN45 = 0.6008760366928561
 
@@ -310,6 +319,95 @@ class TestNDFromCounts:
         object.__setattr__(b, "counts", bad)
         with pytest.raises(ValidationError):
             nd_from_counts(a, b)
+
+
+# count tables with both input rows reached: zero cells are common, so whole
+# outcomes go uncounted too; integer (sampled) and real (exact) counts
+_COUNT = st.one_of(st.just(0.0), st.integers(1, 10**6).map(float),
+                   st.floats(1e-3, 1e6, allow_nan=False))
+COUNT_TABLES = st.lists(_COUNT, min_size=8, max_size=8).map(
+    lambda cells: np.reshape(cells, (2, 2, 2))).filter(
+    lambda counts: np.all(counts.sum(axis=(1, 2)) > 0.0))
+
+
+def _dropping(family, outcome):
+    """A table in which no count reached one outcome of `family`."""
+    counts = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    if family == "A":
+        counts[:, outcome, :] = 0.0
+    else:
+        counts[:, :, outcome] = 0.0
+    return counts
+
+
+class TestCountEstimator:
+    @given(COUNT_TABLES, st.sampled_from("AB"))
+    @example(_dropping("A", 0), "A")
+    @example(_dropping("B", 1), "B")
+    @example(np.array([[[5.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 3.0]]]), "A")
+    @settings(max_examples=500, deadline=None)
+    def test_agrees_with_bayes_route(self, counts, family):
+        h = _input_entropy_given_out(counts[None], family)
+        assert h.shape == (1,)
+        assert abs(h[0] - bayes_entropy(counts, family)) <= 1e-15
+
+    def test_uncounted_outcome_is_skipped(self):
+        # the dropped outcome of the Bayes route: the remaining one still
+        # tells the inputs apart by their count ratio
+        for family, outcome in (("A", 0), ("A", 1), ("B", 0), ("B", 1)):
+            counts = _dropping(family, outcome)
+            h = _input_entropy_given_out(counts[None], family)[0]
+            assert 0.0 < h < 1.0
+            assert abs(h - bayes_entropy(counts, family)) <= 1e-15
+            est = bayes_invert(estimate_probabilities(IntensityTable(
+                family, counts, 0.0, 10, 0, "exact")))
+            assert est.dropped == (OUTCOMES[outcome],)
+
+    @given(st.lists(COUNT_TABLES, min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_batched_equals_per_table(self, tables):
+        stack = np.reshape(tables, (2, 3, 2, 2, 2))
+        h = _input_entropy_given_out(stack, "ABB")
+        assert h.shape == (2, 3)
+        for i in range(2):
+            for j, family in enumerate("ABB"):
+                assert _input_entropy_given_out(stack[i, j][None], family)[0] == h[i, j]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_negative_count_raises(self, bad):
+        counts = np.ones((3, 2, 2, 2))
+        counts[1, 1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            _input_entropy_given_out(counts, "ABB")
+        a, b = make_tables(40.0, 1000, 0, "exact")
+        object.__setattr__(b, "counts", counts[1])
+        with pytest.raises(ValidationError):
+            nd_from_counts(a, b)
+
+    def test_empty_input_row_raises(self):
+        counts = np.ones((2, 2, 2))
+        counts[1] = 0.0
+        for family in "AB":
+            with pytest.raises(EstimationError, match=f"zero counts in family {family}"):
+                _input_entropy_given_out(counts[None], family)
+        with pytest.raises(EstimationError, match="no counts in table"):
+            _input_entropy_given_out(np.zeros((1, 2, 2, 2)), "B")
+
+    def test_first_table_with_an_empty_row_is_reported(self):
+        # tables [angle, family]: an empty B row at angle 1 comes before an
+        # empty A row and an empty table at angle 2
+        counts = np.ones((3, 3, 2, 2, 2))
+        counts[1, 1, 0] = 0.0
+        counts[2, 0, 1] = 0.0
+        counts[2, 2] = 0.0
+        with pytest.raises(EstimationError, match="family B"):
+            _input_entropy_given_out(counts, "ABB")
+        counts[1, 1, 0] = 1.0
+        with pytest.raises(EstimationError, match="family A"):
+            _input_entropy_given_out(counts, "ABB")
+        counts[2, 0, 1] = 1.0
+        with pytest.raises(EstimationError, match="no counts in table"):
+            _input_entropy_given_out(counts, "ABB")
 
 
 class TestSerialization:

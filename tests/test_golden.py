@@ -3,6 +3,10 @@
 any output byte must update the hash here and say why in CHANGES.md."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,12 +27,12 @@ GOLDEN = {
     ),
     "sweep-multinomial-csv": (
         ["sweep", "--mode", "multinomial", "--shots", "20000", "--seed", "11"],
-        "df6fe62fe93a7df8ceb8c2f47db39c992812eb6649e2bf9538784f03ee176dc3",
+        "d273e324d1347c7d624616b7712a5b2a1b668f47586ca72c6dfc86191e6768b1",
     ),
     "sweep-poisson-json": (
         ["sweep", "--mode", "poisson", "--shots", "50000", "--seed", "5",
          "--correction", "none", "--format", "json"],
-        "b87653a87dd1424c987cd608e9241fd75531b0d50ca23abeac3a655c5be730c1",
+        "90cac6178ed5bf2262f53742a3b37df0cc4facb275ba6808e8b90d8470f28348",
     ),
     "correct-search-default": (
         ["correct-search"],
@@ -149,6 +153,30 @@ def test_stdout_matches_out_file(name, tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta", "0:180:5", "--mode", "poisson", "--shots", "1000", "--seed", "3",
+     "--format", "json"],
+    GOLDEN["sweep-multinomial-csv"][0],
+    GOLDEN["sweep-poisson-json"][0],
+], ids=["sweep-poisson-5deg", "sweep-multinomial-csv", "sweep-poisson-json"])
+def test_output_does_not_depend_on_the_blas_kernel(argv):
+    """`python -m noisedist.cli` writes the same bytes with OpenBLAS's default
+    kernels and with OPENBLAS_CORETYPE=Nehalem, whose dot product rounds each
+    product where the Haswell kernels fuse multiply and add: the estimates
+    must not go through BLAS. On a numpy that is not linked to OpenBLAS, or
+    that ignores the variable, both runs use one kernel and this passes
+    trivially."""
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, "-m", "noisedist.cli", *argv], capture_output=True,
+                           env=dict(env, **extra), timeout=60)
+            for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
 
 
 # ------------------------------------------------ help and usage errors
