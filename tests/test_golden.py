@@ -111,6 +111,17 @@ GOLDEN = {
          "--target", "20,70", "--efficiency", "0.7"],
         "fdf471a9ecea33a9895c4903508cdc16f01c203575055aa20f5f3650d53f6fe1",
     ),
+    # sampled counts under a custom correction, and the binomial thinning draw
+    "sweep-poisson-custom-csv": (
+        ["sweep", "--theta", "0:180:15", "--mode", "poisson", "--correction", "custom",
+         "--target", "37.5,121.25", "--shots", "20000", "--seed", "9"],
+        "ca1de594c663bafa72b3de26ff27705a69338629ad4b76440dc997c0414e98d0",
+    ),
+    "simulate-multinomial-thinned": (
+        ["simulate", "--mode", "multinomial", "--family", "B", "--efficiency", "0.6",
+         "--theta", "65", "--shots", "5000", "--seed", "13"],
+        "e1fbc43a92863b572ee545886df55fd1adb471fbfd0e22cbf49b7a7729c7a137",
+    ),
 }
 
 # (argv, exit code, SHA-256 of stdout) of the verify battery; the second is
@@ -123,6 +134,11 @@ VERIFY_GOLDEN = {
     "verify-negative-control": (
         ["verify", "--trials", "0", "--seed", "4", "--perturb-disturbance", "0.05"], 1,
         "6036884a40d6dae9caddf4c2ab9edc019bcbbb000ce2ddf55dd507999e550e65",
+    ),
+    # a seed above 2**32 keys every stream with a two-word seed
+    "verify-seed-2e32": (
+        ["verify", "--trials", "2000", "--shots", "10000", "--seed", str(2**32 + 5)], 0,
+        "3d258d44c6348827f0168136fc2dc3cb9582a21d345f3f65027909c068594094",
     ),
 }
 
