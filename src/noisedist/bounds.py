@@ -22,7 +22,6 @@ from .bloch import (
     BlochVector,
     CorrectionMap,
     Observable,
-    PureState,
     polar_observable,
 )
 from .entropy import (
@@ -356,7 +355,11 @@ class OracleReport:
     N + D = 1 segment: e.g. the ensemble {(1/2, |+z>), (1/2, |+y>)} sits at
     (0.5, 0.5), 0.195 bits below the boundary. boundary_violations counts the
     sampled trials below the boundary by more than 1e-9, and worst_ensemble
-    holds the members of the worst one for auditing.
+    holds the members of the worst one for auditing. What does hold for
+    every ensemble is that segment: the Maassen-Uffink relation
+    H(sigma_z) + H(sigma_y) >= 1 bit holds for each member, mixed states
+    included, so min_entropy_sum, the least N* + D* over the trials, is at
+    least 1.
     """
 
     trials: int
@@ -370,6 +373,7 @@ class OracleReport:
     max_member_noise_increase: float
     max_projection_disturbance_shift: float
     worst_ensemble: tuple
+    min_entropy_sum: float
 
 
 def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -> OracleReport:
@@ -437,6 +441,7 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         max_member_noise_increase=float(np.max(member_increase)),
         max_projection_disturbance_shift=float(np.max(np.abs(d_proj - d_star))),
         worst_ensemble=worst_members,
+        min_entropy_sum=float(np.min(n_star + d_star)),
     )
 
 
@@ -445,8 +450,10 @@ class MaassenUffinkReport:
     """Comparison of the boundary against the flat entropy bound
     H(sigma_y) + H(sigma_z) >= 1 bit.
 
-    min_state_sum sweeps single pure states in the y-z plane (built by
-    PureState.from_angles, summed as h(r_z) + h(r_y)); min_boundary_sum takes
+    min_state_sum sweeps single pure states psi(theta, pi/2) in the y-z
+    plane, summed as h(r_z) + h(r_y), with r_z = cos(theta) and
+    r_y = sin(theta) sin(pi/2) from math.cos and math.sin: bit for bit the
+    Bloch vectors PureState.from_angles builds; min_boundary_sum takes
     N + D along boundary_curve. Both minima equal 1 bit, attained at the
     eigenstate endpoints only; min_interior_gap is the smallest interior
     excess over 1 bit.
@@ -467,9 +474,9 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples!r}")
     thetas = np.linspace(0.0, math.pi / 2, int(samples))
-    states = [PureState.from_angles(t, math.pi / 2).direction for t in thetas.tolist()]
-    r_z = np.array([s.z for s in states])
-    r_y = np.array([s.y for s in states])
+    # PureState.from_angles(t, pi/2).direction, without building the states
+    r_z = np.array([math.cos(t) for t in thetas.tolist()])
+    r_y = np.array([math.sin(t) for t in thetas.tolist()]) * math.sin(math.pi / 2)
     # ensemble_point of the single member (1, state), for all states at once
     sums = binary_entropy(r_z) + binary_entropy(r_y)
     curve = boundary_curve(int(samples))

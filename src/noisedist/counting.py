@@ -6,13 +6,18 @@ of A feeding the noise estimate; family "B": eigenstates of B feeding the
 disturbance estimate) into the measurement apparatus followed by a sharp B
 measurement, producing eight intensities I[input, mu, beta'] per family.
 
-Reproducibility contract: sampled modes draw from a numpy PCG64 generator
-seeded with SeedSequence([seed, family code, input index, axis bit patterns,
-correction target bit patterns]). Every (seed, configuration) pair therefore
-has its own independent stream, identical across runs, platforms, and any
-order of evaluation. The estimate of H(input|out) is the plug-in conditional
-entropy of the count joint n[input, out] / total, in elementwise arithmetic
-with no BLAS call, so it does not depend on the BLAS kernel numpy picks.
+Reproducibility contract: sampled modes draw from a numpy PCG64 generator,
+default_rng(SeedSequence(words)). The key of a stream is the ints [seed,
+family code, input index, axis bit patterns, correction target bit
+patterns], and `words` is a uint32 array of their little-endian 32-bit
+words, each int with its high zero words dropped (0 is the one word 0). That
+is how SeedSequence reads the int list itself, so both give the same state.
+Every (seed, configuration) pair therefore has its own independent stream,
+identical across runs, platforms, and any order of evaluation, whether its
+table is drawn alone or in one pass with every other table of a command.
+The estimate of H(input|out) is the plug-in conditional entropy of the count
+joint n[input, out] / total, in elementwise arithmetic with no BLAS call, so
+it does not depend on the BLAS kernel numpy picks.
 """
 
 from __future__ import annotations
@@ -21,20 +26,12 @@ import io
 import itertools
 import json
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import (
-    OUTCOMES,
-    SIGMA_Y,
-    SIGMA_Z,
-    CorrectionMap,
-    Observable,
-    ProjectiveInstrument,
-)
-from .entropy import NDPoint, _cond_entropy_given_last, joint_tables
+from .bloch import OUTCOMES, SIGMA_Y, SIGMA_Z, CorrectionMap, Observable
+from .entropy import NDPoint, _cond_entropy_given_last, _eigen_pair, joint_tables
 from .errors import EstimationError, ValidationError
 from .tables import write_table
 
@@ -54,19 +51,97 @@ _CELL_OUTCOMES = dict(zip(("input", "mu", "beta_prime"),
                           map(list, zip(*itertools.product(OUTCOMES, repeat=3)))))
 
 
-def _float_bits(*values) -> list[int]:
-    """IEEE-754 bit patterns as non-negative ints, for seed-sequence keys."""
-    return [struct.unpack("<Q", struct.pack("<d", float(v)))[0] for v in values]
+def _int_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int with its high
+    zero words dropped, and [0] for 0: the words SeedSequence makes of it."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
-def _stream(seed: int, family: str, input_index: int, measurement: Observable,
-            post_map: CorrectionMap) -> np.random.Generator:
-    """Independent reproducible substream for one (input state, apparatus)."""
-    key = [int(seed), _FAMILY_CODE[family], int(input_index)]
-    key += _float_bits(*measurement.axis.as_tuple())
-    key += _float_bits(*post_map.target_plus.direction.as_tuple())
-    key += _float_bits(*post_map.target_minus.direction.as_tuple())
-    return np.random.default_rng(np.random.SeedSequence(key))
+def _stream_words(seeds, families, key_floats):
+    """The SeedSequence words of every stream of _draw_counts, in its order:
+    for each seed, angle j, family and input index, a uint32 array of the
+    _int_words of the ints [seed, family code, input index, bit patterns of
+    key_floats[j, family]], from key_floats (n, len(families), m). A float64
+    is thus its low word, then its high word unless that is zero; read as
+    two uint32 words it would keep a zero high word."""
+    bits = np.ascontiguousarray(key_floats, dtype=float).view(np.uint64)
+    tails = []
+    for key in bits.reshape(-1, bits.shape[-1]).tolist():
+        tail = []
+        for b in key:  # _int_words of a 64-bit pattern, inlined
+            tail += (b & 0xFFFFFFFF, b >> 32) if b >> 32 else (b,)
+        tails.append(tail)
+    for seed in seeds:
+        heads = [[_int_words(int(seed)) + [_FAMILY_CODE[family], i] for i in range(2)]
+                 for family in families]
+        for j, tail in enumerate(tails):
+            for head in heads[j % len(families)]:
+                yield np.array(head + tail, np.uint32)
+
+
+def _dot(u, v):
+    """u . v over the last axis, summed left to right as BlochVector.dot."""
+    uv = u * v
+    return uv[..., 0] + uv[..., 1] + uv[..., 2]
+
+
+def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
+                 a: Observable = SIGMA_Z, b: Observable = SIGMA_Y) -> np.ndarray:
+    """The counts (len(seeds), n, len(families), 2, 2, 2) of the intensity
+    tables of n measurement axes (n, 3): for each seed and axis, one table of
+    each family, re-prepared into its targets (n, len(families), 2, 3), the
+    directions of the targets of mu = +1 and -1. Every table is the one
+    simulate_intensities makes, counts and stream alike. One joint_tables
+    call covers all of them; sampled modes then draw seed by seed, axis by
+    axis, family by family and input by input, one stream each."""
+    if not _is_integer(shots) or shots < 1:
+        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
+    for seed in seeds:
+        if not _is_integer(seed):
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not 0.0 < efficiency <= 1.0:
+        raise ValidationError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    for seed in seeds:
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed!r}")
+
+    axes = np.asarray(axes, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    inputs = np.array([(a if family == "A" else b).axis.as_tuple() for family in families])
+    # joint[j, family, i] is the joint distribution of (mu, beta') for input OUTCOMES[i]
+    joint = joint_tables(_eigen_pair(_dot(inputs, axes[:, None])),
+                         _dot(targets, np.array(b.axis.as_tuple())))
+    means = shots * efficiency * joint
+    if mode == "exact":
+        return means[None].repeat(len(seeds), axis=0)
+
+    key_floats = np.empty(targets.shape[:2] + (9,))
+    key_floats[..., :3] = axes[:, None]
+    key_floats[..., 3:] = targets.reshape(targets.shape[:2] + (6,))
+    p, means = joint.reshape(-1, 4), means.reshape(-1, 4)
+    counts = np.empty((len(seeds) * len(p), 4))
+    for index, words in enumerate(_stream_words(seeds, families, key_floats)):
+        rng = np.random.default_rng(np.random.SeedSequence(words))
+        row = index % len(p)
+        if mode == "multinomial":
+            cells = rng.multinomial(shots, p[row])
+            if efficiency < 1.0:
+                cells = rng.binomial(cells, efficiency)
+        else:  # poisson
+            cells = rng.poisson(means[row])
+        counts[index] = cells
+    return counts.reshape((len(seeds),) + joint.shape)
 
 
 def _is_integer(value) -> bool:
@@ -189,41 +264,13 @@ def simulate_intensities(
     `shots` trials (then thins each cell binomially if efficiency < 1);
     "poisson" draws every cell independently with mean shots * efficiency * p.
     """
-    if not _is_integer(shots) or shots < 1:
-        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    if shots > MAX_SHOTS:
-        raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
-    if not _is_integer(seed):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if family not in FAMILIES:
-        raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
-    if not 0.0 < efficiency <= 1.0:
-        raise ValidationError(f"efficiency must lie in (0, 1], got {efficiency!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed!r}")
-
-    inst = ProjectiveInstrument(measurement, correction)
-    input_m = (a if family == "A" else b).axis.dot(measurement.axis)
+    post_map = correction if correction is not None else CorrectionMap.identity_for(measurement)
+    targets = [post_map.target_plus.direction.as_tuple(),
+               post_map.target_minus.direction.as_tuple()]
+    counts = _draw_counts([seed], [family], [measurement.axis.as_tuple()], [[targets]],
+                          shots, mode, efficiency, a, b)[0, 0, 0]
     if correction_label is None:
         correction_label = "identity" if correction is None else "custom"
-
-    # joint[i] is the joint distribution of (mu, beta') for input OUTCOMES[i]
-    joint = joint_tables([input_m, -input_m], inst.post_map.overlaps(b))
-    if mode == "exact":
-        counts = shots * efficiency * joint
-    else:
-        counts = np.empty((2, 2, 2))
-        for i in range(2):
-            rng = _stream(seed, family, i, measurement, inst.post_map)
-            if mode == "multinomial":
-                cells = rng.multinomial(shots, joint[i].ravel()).reshape(2, 2)
-                if efficiency < 1.0:
-                    cells = rng.binomial(cells, efficiency)
-            else:  # poisson
-                cells = rng.poisson(shots * efficiency * joint[i])
-            counts[i] = cells
 
     return IntensityTable(
         family=family,

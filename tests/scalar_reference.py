@@ -11,14 +11,22 @@ recovered H(input|out) from an intensity table before it became the plug-in
 entropy of the count joint. The two routes round differently, so tests
 compare them within 1e-15.
 
+For the sampler: the table-by-table draw that simulate_intensities made
+before every table of a command was drawn in one pass, each stream seeded
+with SeedSequence of the list of Python ints [seed, family code, input
+index, float bit patterns]. The batched draw must give the same counts, so
+tests compare them with ==.
+
 Nothing here calls the kernel (`born`, `joint_tables`, `noise_bits`,
 `disturbance_bits`), the count estimator or the conditional-entropy helper
 they share.
 """
 
+import struct
+
 import numpy as np
 
-from noisedist import ProjectiveInstrument
+from noisedist import SIGMA_Y, SIGMA_Z, ProjectiveInstrument
 from noisedist.bloch import OUTCOMES
 
 
@@ -94,3 +102,37 @@ def bayes_entropy(counts, family):
     for j in np.flatnonzero(p_out > 0.0):
         posterior[j] = p_input * p_out_given_in[:, j] / p_out[j]
     return float(cond_entropy_given_last(posterior.T * p_out[None, :]))
+
+
+def int_list_key(seed, family, input_index, measurement, post_map):
+    """The SeedSequence key of one stream as a list of Python ints: the
+    seed, the family code, the input index and the IEEE-754 bit patterns of
+    the measurement axis and of the two correction targets."""
+    floats = (*measurement.axis.as_tuple(), *post_map.target_plus.direction.as_tuple(),
+              *post_map.target_minus.direction.as_tuple())
+    return [int(seed), {"A": 0, "B": 1}[family], int(input_index),
+            *(struct.unpack("<Q", struct.pack("<d", v))[0] for v in floats)]
+
+
+def per_table_counts(measurement, correction, family, shots, seed, mode, efficiency=1.0,
+                     a=SIGMA_Z, b=SIGMA_Y):
+    """Counts [input, mu, beta'] of one intensity table, drawn input by
+    input from the stream keyed by int_list_key, over the scalar joint."""
+    inst = ProjectiveInstrument(measurement, correction)
+    input_obs = a if family == "A" else b
+    joint = np.array([scalar_joint(input_obs.eigenstate(outcome), inst, b)
+                      for outcome in OUTCOMES])
+    if mode == "exact":
+        return shots * efficiency * joint
+    counts = np.empty((2, 2, 2))
+    for i in range(2):
+        key = int_list_key(seed, family, i, measurement, inst.post_map)
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        if mode == "multinomial":
+            cells = rng.multinomial(shots, joint[i].ravel()).reshape(2, 2)
+            if efficiency < 1.0:
+                cells = rng.binomial(cells, efficiency)
+        else:  # poisson
+            cells = rng.poisson(shots * efficiency * joint[i])
+        counts[i] = cells
+    return counts

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import noisedist.bounds
 from noisedist import (
     SIGMA_X,
     SIGMA_Y,
@@ -412,6 +413,14 @@ class TestEnsembleOracle:
         assert report.max_projection_noise_increase <= 1e-12
         assert report.max_projection_disturbance_shift <= 1e-12
 
+    def test_entropy_sums_stay_on_or_above_the_segment(self):
+        # Maassen-Uffink holds member by member, so N* + D* >= 1 for every
+        # ensemble; 100k trials at seed 0 come within 0.0092 bits of it
+        report = ensemble_boundary_oracle(100_000, max_members=4, seed=0)
+        assert report.min_entropy_sum >= 1.0 - 1e-12
+        assert report.min_entropy_sum == pytest.approx(1.0091, abs=1e-4)
+        assert report.boundary_violations > 0  # below the curve, not the segment
+
     def test_known_counterexample_beats_the_curve(self):
         # equal mixture of |+z> and |+y>: entropy averages reach the straight
         # N + D = 1 segment, 0.195 bits below the curve at its midpoint
@@ -447,6 +456,24 @@ class TestMaassenUffink:
         state = PureState.from_angles(math.pi / 4, math.pi / 2).direction
         n, d = ensemble_point([EnsembleMember(1.0, state)])
         assert n + d == pytest.approx(MU_SUM_45, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [2, 157, 1572])
+    def test_states_are_those_of_from_angles(self, samples, monkeypatch):
+        # the r_z and r_y entropies are taken of are, bit for bit, the Bloch
+        # vectors of the states PureState.from_angles builds
+        seen = []
+        real = noisedist.bounds.binary_entropy
+
+        def recorded(x):
+            seen.append(np.array(x))
+            return real(x)
+
+        monkeypatch.setattr(noisedist.bounds, "binary_entropy", recorded)
+        maassen_uffink_compare(samples)
+        states = [PureState.from_angles(t, math.pi / 2).direction
+                  for t in np.linspace(0.0, math.pi / 2, samples).tolist()]
+        assert np.array_equal(seen[0], [state.z for state in states])
+        assert np.array_equal(seen[1], [state.y for state in states])
 
     def test_routes_agree(self):
         report = maassen_uffink_compare(361)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, determinism, config
 precedence, schemas, and exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -392,6 +393,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS  entropy-roundtrip    max|g(h(x))-x|=3.490e-10 over" in out
 
+    def test_entropy_sum_below_one_fails_the_oracle(self, monkeypatch, capsys):
+        real = noisedist.cli.ensemble_boundary_oracle
+
+        def below(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), min_entropy_sum=1.0 - 1e-9)
+
+        monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", below)
+        assert main(["verify", "--trials", "500", "--shots", "20000"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL  ensemble-oracle" in captured.out
+        assert "min N*+D* = 1.0000 bits" in captured.err
+
     def test_unconverged_inverse_fails_roundtrip(self, monkeypatch, capsys):
         monkeypatch.setattr(noisedist.entropy, "_NEWTON_STEPS", 2)
         assert main(["verify", "--seed", "517086", "--trials", "0", "--shots", "20000"]) == 1
@@ -472,6 +485,31 @@ def test_sampled_sweep_makes_one_estimator_call(argv, families, monkeypatch, cap
     assert main(argv) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert calls == [((len(rows), len(families), 2, 2, 2), families)]
+
+
+@pytest.mark.parametrize("argv,draws", [
+    (["sweep", "--theta", "0:180:15", "--mode", "multinomial", "--shots", "2000"],
+     [([0], "ABB", 13)]),
+    (["sweep", "--theta", "5,50", "--mode", "poisson", "--correction", "none", "--seed", "9"],
+     [([9], "AB", 2)]),
+    (["verify", "--trials", "0", "--shots", "2000", "--seed", "7"],
+     [([0], "ABB", 15), ([7, 8, 9], "AB", 15)]),
+], ids=["sweep-optimal", "sweep-none", "verify"])
+def test_every_table_of_a_command_is_drawn_in_one_pass(argv, draws, monkeypatch, capsys):
+    # one _draw_counts call each for a sampled sweep and for the exact and
+    # sampled estimator checks of verify, and no table drawn on its own
+    calls = []
+    real = noisedist.cli._draw_counts
+
+    def counted(seeds, families, axes, *args):
+        calls.append((list(seeds), families, len(axes)))
+        return real(seeds, families, axes, *args)
+
+    monkeypatch.setattr(noisedist.cli, "_draw_counts", counted)
+    monkeypatch.setattr(noisedist.cli, "simulate_intensities", _must_not_run)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == draws
 
 
 def test_unknown_command_is_usage_error():
@@ -634,6 +672,7 @@ class TestSizeCaps:
     def test_shot_cap(self, tmp_path, monkeypatch, capsys):
         # numpy's samplers overflow above MAX_SHOTS, which used to exit 1
         monkeypatch.setattr(noisedist.cli, "simulate_intensities", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_draw_counts", _must_not_run)
         monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", _must_not_run)
         out = tmp_path / "out"
         for shots in (10**20, MAX_SHOTS + 1):
@@ -648,6 +687,7 @@ class TestSizeCaps:
 
     def test_trial_cap(self, monkeypatch, capsys):
         monkeypatch.setattr(noisedist.cli, "simulate_intensities", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_draw_counts", _must_not_run)
         monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", _must_not_run)
         for trials in (10**11, MAX_TRIALS + 1):
             run_usage_error(["verify", "--trials", str(trials)])

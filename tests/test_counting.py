@@ -1,7 +1,9 @@
 """Tests for the counting simulation and the intensity-ratio estimators."""
 
+import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -27,14 +29,18 @@ from noisedist import (
     theory_noise,
 )
 from noisedist.bloch import OUTCOMES
+import noisedist.counting
+from noisedist.cli import _make_correction, _sweep_targets
 from noisedist.counting import (
     CSV_HEADER,
     MAX_SHOTS,
     MODES,
     EstimatedProbabilities,
+    _draw_counts,
     _input_entropy_given_out,
+    _stream_words,
 )
-from scalar_reference import bayes_entropy, scalar_exact_counts
+from scalar_reference import bayes_entropy, per_table_counts, scalar_exact_counts
 
 H_SIN45 = 0.6008760366928561
 
@@ -175,6 +181,113 @@ class TestSimulate:
         for deg in (0.0, 50.0, 90.0, 180.0):
             assert math.degrees(polar_angle(polar_observable(math.radians(deg)))) == (
                 pytest.approx(deg, abs=1e-12))
+
+
+def _state(key):
+    """The first words a PCG64 seeded from SeedSequence(key) takes."""
+    return np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+
+def _bits(value):
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70]
+# signed zeros, subnormals whose high word is zero (5e-324, 1e-320) and not
+# (1e-310), the least normal, and the unit values of the axes
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1.0, -1.0, 0.5]
+KEY_FLOATS = st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False)),
+                      min_size=9, max_size=9)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    @pytest.mark.parametrize("floats", [EDGE_FLOATS, [0.0] * 9, [-0.0] * 9,
+                                        [5e-324, -5e-324, 1e-320] * 3, [1.0, -1.0, 0.0] * 3])
+    def test_edge_keys_give_the_int_list_state(self, seed, floats):
+        self._check(seed, "AB", [floats, floats[::-1]])
+
+    @given(st.integers(0, 2**80), st.lists(KEY_FLOATS, min_size=1, max_size=3),
+           st.text("AB", min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_word_key_gives_the_int_list_state(self, seed, floats, families):
+        self._check(seed, families, floats)
+
+    @staticmethod
+    def _check(seed, families, floats):
+        """Each stream's words give the state of its key as a list of ints:
+        for every angle, family and input index, in that order."""
+        key_floats = np.broadcast_to(np.array(floats)[:, None], (len(floats), len(families), 9))
+        streams = list(_stream_words([seed], families, key_floats))
+        assert len(streams) == 2 * len(floats) * len(families)
+        keys = itertools.product(floats, families, range(2))
+        for words, (values, family, i) in zip(streams, keys):
+            assert words.dtype == np.uint32
+            int_key = [seed, "AB".index(family), i, *map(_bits, values)]
+            assert np.array_equal(_state(words), _state(int_key))
+
+    def test_float_words_keep_no_zero_high_word(self):
+        # 0.0 is the one word 0 in the int-list key, while viewing it as two
+        # uint32 words gives [0, 0] and another state
+        (words, _) = _stream_words([0], "A", np.zeros((1, 1, 9)))
+        assert words.tolist() == [0] * 12
+        as_halves = np.concatenate([[0, 0, 0], np.zeros(9).view(np.uint32)]).astype(np.uint32)
+        assert not np.array_equal(_state(words), _state(as_halves))
+
+
+_ANGLES = st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=4)
+_SEEDS = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70))
+_EFFICIENCIES = st.one_of(st.just(1.0), st.floats(0.05, 1.0, exclude_max=True))
+
+
+class TestBatchedDraw:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", ["none", "optimal", "custom"])
+    @given(thetas_deg=_ANGLES, seed=_SEEDS, efficiency=_EFFICIENCIES,
+           shots=st.sampled_from([1, 7, 1000, 10**6]),
+           target=st.tuples(st.floats(0.0, 180.0), st.floats(-180.0, 360.0)))
+    @settings(max_examples=25, deadline=None)
+    def test_counts_equal_the_per_table_loop(self, kind, mode, thetas_deg, seed, efficiency,
+                                             shots, target):
+        # a sweep's tables (A under the correction, B without, B under it)
+        # for two seeds, against the table-by-table draw and simulate_intensities
+        axes, identity, corrected = _sweep_targets(thetas_deg, kind, target)
+        corrected = identity if corrected is None else corrected
+        seeds = [seed, seed + 1]
+        counts = _draw_counts(seeds, "ABB", axes, np.stack([corrected, identity, corrected], 1),
+                              shots, mode, efficiency)
+        assert counts.shape == (2, len(thetas_deg), 3, 2, 2, 2)
+        for (s, seed_), (j, theta_deg) in itertools.product(enumerate(seeds),
+                                                             enumerate(thetas_deg)):
+            m = polar_observable(math.radians(theta_deg))
+            corr, _ = _make_correction(kind, target, m)
+            for f, (family, post) in enumerate(zip("ABB", (corr, None, corr))):
+                expected = per_table_counts(m, post, family, shots, seed_, mode, efficiency)
+                assert np.array_equal(counts[s, j, f], expected)
+                table = simulate_intensities(m, post, family, shots, seed_, mode,
+                                             efficiency=efficiency)
+                assert np.array_equal(table.counts, expected)
+
+    def test_one_kernel_call_for_every_table(self, monkeypatch):
+        calls = []
+        real = noisedist.counting.joint_tables
+
+        def counted(input_m, target_b):
+            calls.append(np.shape(input_m))
+            return real(input_m, target_b)
+
+        monkeypatch.setattr(noisedist.counting, "joint_tables", counted)
+        axes, identity, optimal = _sweep_targets([0.0, 45.0, 170.0], "optimal", None)
+        for mode in MODES:
+            _draw_counts([3, 4], "AB", axes, np.stack([identity, optimal], 1), 100, mode)
+        assert calls == [(3, 2, 2)] * 3
+
+    def test_validation_covers_every_table(self):
+        axes, identity, _ = _sweep_targets([10.0, 20.0], "none", None)
+        targets = np.stack([identity, identity], 1)
+        for seeds, families in (([1, -1], "AB"), ([1, 2.0], "AB"), ([1], "AC")):
+            with pytest.raises(ValidationError):
+                _draw_counts(seeds, families, axes, targets, 10, "multinomial")
 
 
 class TestEstimators:

@@ -176,7 +176,8 @@ def test_stdout_matches_out_file(name, tmp_path, capsys):
      "--format", "json"],
     GOLDEN["sweep-multinomial-csv"][0],
     GOLDEN["sweep-poisson-json"][0],
-], ids=["sweep-poisson-5deg", "sweep-multinomial-csv", "sweep-poisson-json"])
+    ["verify", "--trials", "0", "--shots", "1000", "--seed", "3"],
+], ids=["sweep-poisson-5deg", "sweep-multinomial-csv", "sweep-poisson-json", "verify-seed-3"])
 def test_output_does_not_depend_on_the_blas_kernel(argv):
     """`python -m noisedist.cli` writes the same bytes with OpenBLAS's default
     kernels and with OPENBLAS_CORETYPE=Nehalem, whose dot product rounds each
