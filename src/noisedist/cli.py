@@ -341,7 +341,9 @@ def _sweep_targets(thetas_deg, correction_kind, target):
     (None for none), bit for bit those of polar_observable,
     CorrectionMap.identity_for and _make_correction."""
     radians = [math.radians(theta_deg) for theta_deg in thetas_deg]
-    axes = np.array([(0.0, math.sin(theta), math.cos(theta)) for theta in radians])
+    axes = np.zeros((len(radians), 3))
+    axes[:, 1] = np.fromiter(map(math.sin, radians), float, len(radians))
+    axes[:, 2] = np.fromiter(map(math.cos, radians), float, len(radians))
     identity = np.stack([axes, -axes], axis=1)
     if correction_kind == "none":
         return axes, identity, None

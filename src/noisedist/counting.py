@@ -69,16 +69,14 @@ def _stream_words(seeds, families, key_floats):
     is thus its low word, then its high word unless that is zero; read as
     two uint32 words it would keep a zero high word."""
     bits = np.ascontiguousarray(key_floats, dtype=float).view(np.uint64)
-    tails = []
-    for key in bits.reshape(-1, bits.shape[-1]).tolist():
-        tail = []
-        for b in key:  # _int_words of a 64-bit pattern, inlined
-            tail += (b & 0xFFFFFFFF, b >> 32) if b >> 32 else (b,)
-        tails.append(tail)
+    bits = bits.reshape(-1, bits.shape[-1])
     for seed in seeds:
-        heads = [[_int_words(int(seed)) + [_FAMILY_CODE[family], i] for i in range(2)]
-                 for family in families]
-        for j, tail in enumerate(tails):
+        seed_words = _int_words(int(seed))
+        heads = [[seed_words + [_FAMILY_CODE[family], i] for i in range(2)] for family in families]
+        for j, key in enumerate(bits):
+            tail = []
+            for b in key.tolist():  # _int_words of a 64-bit pattern, inlined
+                tail += (b & 0xFFFFFFFF, b >> 32) if b >> 32 else (b,)
             for head in heads[j % len(families)]:
                 yield np.array(head + tail, np.uint32)
 
