@@ -9,7 +9,6 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
@@ -217,7 +216,7 @@ COMMANDS = {
 }
 
 
-def _resolve_options(args: argparse.Namespace) -> SimpleNamespace:
+def _resolve_options(args) -> SimpleNamespace:
     """Apply the precedence CLI flag > config file > built-in default, then
     check each value in table order."""
     options = COMMANDS[args.command][1]
@@ -644,16 +643,11 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
                             help=option.help or " | ".join(option.choices))
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, with every subcommand of COMMANDS; or, given a
-    command, that command's parser alone. It prints the same help, usage and
-    errors as the full parser's subparser, which `add_parser` creates with
-    only `prog` set."""
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"noisedist {command}")
-        _add_options(parser, command)
-        parser.set_defaults(command=command)
-        return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand of COMMANDS. It writes every help
+    text, usage line and error the program prints."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="noisedist",
         description="Noise-disturbance tradeoffs for successive qubit measurements: "
@@ -666,6 +660,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+#: Per command, the flags _read_args takes: {flag: (dest, type)}.
+_FLAGS = {
+    command: {"--config": ("config", str),
+              **{_flag(option.name): (option.name, option.type) for option in options}}
+    for command, (_, options) in COMMANDS.items()
+}
+
+
+def _read_args(argv):
+    """The namespace build_parser().parse_args(argv) gives, read without a
+    parser; or None unless argv is a command followed by full flags, as
+    `--flag value` or `--flag=value`, each at most once, with a value that
+    does not start with '-' and that the flag's type converts. argparse
+    parses whatever this returns None for, so it alone prints help, usage
+    and errors."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = dict.fromkeys(dest for dest, _ in flags.values())
+    index, end = 1, len(argv)
+    while index < end:
+        name, eq, value = argv[index].partition("=")
+        index += 1
+        if not eq:
+            if index == end:
+                return None
+            value = argv[index]
+            index += 1
+        dest, convert = flags.get(name, (None, None))
+        if dest is None or values[dest] is not None or value.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(value)
+        except ValueError:
+            return None
+    return SimpleNamespace(command=argv[0], **values)
+
+
 _RUNNERS = {
     "sweep": run_sweep,
     "correct-search": run_correct_search,
@@ -676,16 +708,13 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    """Run one command. The command named in argv[0] is parsed by its own
-    parser alone. The full parser, whose usage line lists every command,
-    handles everything else: help and --version, a missing or unknown
-    command, arguments the command's parser leaves over, and every error
-    raised after parsing."""
+    """Run one command. _read_args reads a valid command line; argparse
+    parses everything else (help, --version, a prefix, a repeat, an unknown
+    or malformed argument) and reports it, as it reports every error raised
+    after parsing."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = extras = None
-    if argv and argv[0] in COMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extras:
+    args = _read_args(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](_resolve_options(args))

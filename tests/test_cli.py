@@ -13,6 +13,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import noisedist.bounds
 import noisedist.cli
@@ -522,7 +524,7 @@ def test_version_flag():
     assert err.value.code == 0
 
 
-# ------------------------------------------------------ per-command parser
+# ------------------------------------------------------- argv reader
 
 
 def _value(option):
@@ -558,20 +560,120 @@ def _parse_cases():
 
 
 PARSE_CASES = _parse_cases()
+FULL_FLAGS = {"--config"} | {noisedist.cli._flag(o.name)
+                             for _, options in COMMANDS.values() for o in options}
+
+
+def _is_prefix_case(argv):
+    return len(argv) == 3 and argv[1] not in FULL_FLAGS
+
+
+def _by_repr(namespace):
+    """The attributes of a namespace by repr, so that NaN equals NaN."""
+    return {name: repr(value) for name, value in vars(namespace).items()}
+
+
+def _full_parse(argv):
+    """build_parser().parse_args(argv) by repr, or None where it exits."""
+    try:
+        return _by_repr(noisedist.cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def _assert_reads_as_the_full_parser(argv):
+    """_read_args(argv) is None, or the full parser's namespace."""
+    read = noisedist.cli._read_args(argv)
+    if read is not None:
+        assert _by_repr(read) == _full_parse(argv)
+
+
+def test_every_flag_is_also_given_as_a_prefix():
+    prefixed = [argv for argv in PARSE_CASES if _is_prefix_case(argv)]
+    assert len(prefixed) == sum(len(options) + 1 for _, options in COMMANDS.values())
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
 def test_command_parser_reads_argv_as_the_full_parser(argv):
-    build_parser = noisedist.cli.build_parser
-    assert vars(build_parser(argv[0]).parse_args(argv[1:])) == vars(
-        build_parser().parse_args(argv))
+    read = noisedist.cli._read_args(argv)
+    if _is_prefix_case(argv):
+        assert read is None
+    else:
+        assert read is not None and _by_repr(read) == _full_parse(argv)
 
 
-def test_every_flag_is_also_given_as_a_prefix():
-    flags = {"--config"} | {noisedist.cli._flag(o.name)
-                            for _, options in COMMANDS.values() for o in options}
-    prefixed = [argv for argv in PARSE_CASES if len(argv) == 3 and argv[1] not in flags]
-    assert len(prefixed) == sum(len(options) + 1 for _, options in COMMANDS.values())
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", "1", "--seed", "2"],
+    ["sweep", "--seed=1", "--seed", "1"],
+    ["sweep", "--", "--theta", "10"],
+    ["sweep", "--theta", "10", "--"],
+    ["sweep", "--theta", "--"],
+    ["sweep", "--seed", "-1"],
+    ["sweep", "--theta", "-5"],
+    ["sweep", "--theta=-5"],
+    ["sweep", "--theta", ""],
+    ["sweep", "--theta="],
+    ["sweep", "--shots="],
+    ["sweep", "--theta", "10", "--seed"],
+    ["sweep", "--theta"],
+    ["sweep", "-h"],
+    ["sweep", "--help"],
+    ["sweep", "--version"],
+    ["-h"],
+    ["--version"],
+    [],
+    ["swee"],
+    ["boundary", "extra"],
+    ["sweep", "--bogus", "1"],
+    ["sweep", "--target", "x=y", "--out=a=b"],
+    ["sweep", "--tolerance", "nan", "--theta", "nan"],
+    ["verify", "--shots", "1e3"],
+    ["verify", "--trials", " 7 ", "--perturb-disturbance", "1e3"],
+], ids=repr)
+def test_reader_falls_back_or_matches_the_full_parser(argv, capsys):
+    _assert_reads_as_the_full_parser(argv)
+    capsys.readouterr()
+
+
+def test_reader_takes_a_valid_command_line():
+    read = noisedist.cli._read_args(["sweep", "--theta=10,50", "--seed", "4", "--theta-m", "1"])
+    assert read is None  # --theta-m belongs to correct-search
+    read = noisedist.cli._read_args(["sweep", "--theta=10,50", "--seed", "4", "--tolerance", "nan"])
+    assert (read.command, read.theta, read.seed, read.shots) == ("sweep", "10,50", 4, None)
+    assert math.isnan(read.tolerance)
+
+
+READER_VALUES = ["", "-3", "nan", "--", "1e3", "x=y", "0:90:10", "7", "2.5", "-", "json",
+                 "custom", "10,50", " 4 ", "-h", "A"]
+
+
+@st.composite
+def _argv(draw):
+    """A command (or a stray word), then distinct flags of that command, each
+    as `--flag value` or `--flag=value` with a value from READER_VALUES or
+    one its type takes, and at most one stray token among them: a repeated
+    flag, a prefix, -h, --, --version, a positional or a flag without a
+    value."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help"]))
+    options = COMMANDS.get(command, ("", ()))[1]
+    valid = {"--config": "run.cfg"} | {noisedist.cli._flag(o.name): _value(o) for o in options}
+    flags = list(valid)
+    tokens = []
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)):
+        value = draw(st.sampled_from(READER_VALUES) | st.just(valid[flag]))
+        tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    strays = flags + [f[:max(3, len(f) - 2)] for f in flags] + ["-h", "--", "--version", "extra"]
+    for stray in draw(st.lists(st.sampled_from(strays), max_size=1)):
+        tokens.insert(draw(st.integers(0, len(tokens))), stray)
+    return [command] + tokens
+
+
+@given(argv=_argv())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_reader_is_none_or_the_full_parser(argv, capsys):
+    _assert_reads_as_the_full_parser(argv)
+    capsys.readouterr()
 
 
 def _recorded_parsers(monkeypatch):
@@ -588,14 +690,14 @@ def _recorded_parsers(monkeypatch):
 
 
 @pytest.mark.parametrize("argv,code,parsers", [
-    (["sweep", "--theta", "10"], 0, [("sweep",)]),
+    (["sweep", "--theta", "10"], 0, []),
     # an error after parsing is reported by the full parser
-    (["sweep", "--theta", "nan"], 2, [("sweep",), ()]),
-    # so are arguments the command's parser does not know
-    (["sweep", "--bogus", "1"], 2, [("sweep",), ()]),
+    (["sweep", "--theta", "nan"], 2, [()]),
+    # argv the reader does not take is parsed and reported by it too
+    (["sweep", "--bogus", "1"], 2, [()]),
     (["--help"], 0, [()]),
 ], ids=["sweep", "sweep-error", "sweep-unknown-flag", "help"])
-def test_main_builds_the_named_command_parser_only(argv, code, parsers, monkeypatch, capsys):
+def test_main_builds_a_parser_only_to_fall_back(argv, code, parsers, monkeypatch, capsys):
     calls = _recorded_parsers(monkeypatch)
     try:
         assert main(argv) == code
@@ -603,6 +705,85 @@ def test_main_builds_the_named_command_parser_only(argv, code, parsers, monkeypa
         assert exc.code == code
     capsys.readouterr()
     assert calls == parsers
+
+
+def test_valid_command_does_not_import_argparse():
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from noisedist.cli import main\n"
+        "assert main(['sweep', '--theta', '10,50']) == 0\n"
+        "assert 'argparse' not in sys.modules\n"
+        "assert main(['sweep', '--the', '10']) == 0\n"
+        "assert 'argparse' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(SWEEP_CSV_HEADER) == 2
+
+
+#: Values per option that keep each command to milliseconds (small shots,
+#: trials and samples, coarse grids), with malformed and out-of-range ones.
+#: "{tmp}" stands for a scratch directory.
+ROBUST_VALUES = {
+    "config": ["{tmp}/run.cfg", "{tmp}/missing.cfg"],
+    "theta": ["10,50", "0:180:45", "45", "", "nan", "0:90:0", "x", "-5", "200"],
+    "shots": ["1", "2", "100", "10000", "0", "-1", "many", "1e3"],
+    "mode": ["analytic", "multinomial", "poisson", "exact", "bogus"],
+    "correction": ["none", "optimal", "custom", "bogus"],
+    "target": ["30,60", "90,90", "nan,0", "1", "", "a,b"],
+    "seed": ["0", "7", str(2**40), "-1", "x"],
+    "tolerance": ["0", "0.1", "-1", "nan", "1e-9"],
+    "out": ["out.csv", "sub/out.json", "."],
+    "format": ["csv", "json", "xml"],
+    "theta_m": ["50", "0", "90", "nan", "-30", "inf"],
+    "grid": ["45", "30,60", "22.5", "0", "-1", "nan", "10,x", "1e-4"],
+    "samples": ["2", "91", "1000", "1", "-3", "x"],
+    "family": ["A", "B", "C"],
+    "efficiency": ["1", "0.6", "0", "1.5", "nan"],
+    "trials": ["0", "10", "1000", "-1", str(10**7)],
+    "perturb_disturbance": ["0", "0.1", "-0.1", "nan"],
+}
+
+
+@st.composite
+def _command_line(draw):
+    """A command with distinct options from ROBUST_VALUES, as `--flag value`
+    or `--flag=value`, and at most one stray token: a prefix, a flag without
+    a value, -h, --version, -- or a positional."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    names = ["config"] + [o.name for o in COMMANDS.get(command, ("", ()))[1]]
+    chosen = draw(st.lists(st.sampled_from(names), max_size=6, unique=True))
+    if command == "verify" and "trials" not in chosen:
+        chosen.append("trials")  # the default of 100,000 trials takes 0.2 s
+    tokens = []
+    for name in chosen:
+        flag, value = noisedist.cli._flag(name), draw(st.sampled_from(ROBUST_VALUES[name]))
+        tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    strays = ["--" + name[:3] for name in names] + ["--seed", "-h", "--version", "--", "extra"]
+    for stray in draw(st.lists(st.sampled_from(strays), max_size=1)):
+        tokens.insert(draw(st.integers(0, len(tokens))), stray)
+    return [command] + tokens
+
+
+@given(argv=_command_line())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_command_line_exits_cleanly(argv, tmp_path, monkeypatch, capsys):
+    # every command line ends in exit 0, 1 or 2, never in a traceback
+    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path))
+    (tmp_path / "run.cfg").write_text("seed = 3\nshots = 500\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
 
 
 def _module_cli(args):

@@ -32,6 +32,8 @@ def test_tracer_installs_and_uninstalls(capsys):
         tracer.enabled = True
         assert noisedist.cli.main(["sweep", "--theta", "10,50"]) == 0
         assert noisedist.cli.main(["simulate", "--mode", "exact"]) == 0
+        # a prefix flag falls back to the parser
+        assert noisedist.cli.main(["sweep", "--the", "10"]) == 0
         tracer.enabled = False
     finally:
         tracer.uninstall()
