@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from .entropy import (
 )
 from .errors import NoiseDistError, ValidationError
 from .tables import write_table
+
+if TYPE_CHECKING:  # a valid command line never imports argparse (see main)
+    import argparse
 
 ENV_OUTDIR = "NOISEDIST_OUTDIR"
 

@@ -524,7 +524,7 @@ def test_version_flag():
     assert err.value.code == 0
 
 
-# ------------------------------------------------------- argv reader
+# ------------------------------------------------------------- argv reader
 
 
 def _value(option):
@@ -630,17 +630,8 @@ def test_command_parser_reads_argv_as_the_full_parser(argv):
     ["verify", "--shots", "1e3"],
     ["verify", "--trials", " 7 ", "--perturb-disturbance", "1e3"],
 ], ids=repr)
-def test_reader_falls_back_or_matches_the_full_parser(argv, capsys):
+def test_reader_falls_back_or_matches_the_full_parser(argv):
     _assert_reads_as_the_full_parser(argv)
-    capsys.readouterr()
-
-
-def test_reader_takes_a_valid_command_line():
-    read = noisedist.cli._read_args(["sweep", "--theta=10,50", "--seed", "4", "--theta-m", "1"])
-    assert read is None  # --theta-m belongs to correct-search
-    read = noisedist.cli._read_args(["sweep", "--theta=10,50", "--seed", "4", "--tolerance", "nan"])
-    assert (read.command, read.theta, read.seed, read.shots) == ("sweep", "10,50", 4, None)
-    assert math.isnan(read.tolerance)
 
 
 READER_VALUES = ["", "-3", "nan", "--", "1e3", "x=y", "0:90:10", "7", "2.5", "-", "json",
@@ -669,11 +660,9 @@ def _argv(draw):
 
 
 @given(argv=_argv())
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_reader_is_none_or_the_full_parser(argv, capsys):
+@settings(max_examples=300, deadline=None)
+def test_reader_is_none_or_the_full_parser(argv):
     _assert_reads_as_the_full_parser(argv)
-    capsys.readouterr()
 
 
 def _recorded_parsers(monkeypatch):
