@@ -122,6 +122,20 @@ GOLDEN = {
          "--theta", "65", "--shots", "5000", "--seed", "13"],
         "e1fbc43a92863b572ee545886df55fd1adb471fbfd0e22cbf49b7a7729c7a137",
     ),
+    # false flags: at 80 and 90 degrees only N + D0 falls below 1, so general_ok
+    # is false while N + Dcorr passes; at 10 degrees general_ok is true and
+    # tight_ok false
+    "sweep-false-flags-csv": (
+        ["sweep", "--mode", "multinomial", "--shots", "200", "--seed", "1",
+         "--tolerance", "0", "--correction", "custom", "--target", "45,45"],
+        "77067f6dd39ea68bfb0118e052fe9aa5e7acc8c6324d968c86c78b83f15909df",
+    ),
+    "sweep-false-flags-json": (
+        ["sweep", "--mode", "multinomial", "--shots", "200", "--seed", "1",
+         "--tolerance", "0", "--correction", "custom", "--target", "45,45",
+         "--format", "json"],
+        "e327d93ffa6b3eff492ffa4b44c7370bf427903c38240e1c6e59122ac73c980b",
+    ),
 }
 
 # (argv, exit code, SHA-256 of stdout) of the verify battery; the second is
