@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .bloch import (
     OUTCOMES,
-    SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     BlochVector,
@@ -20,13 +19,11 @@ from .bloch import (
     Observable,
     ProjectiveInstrument,
     PureState,
-    born_probability,
     polar_observable,
 )
 from .bounds import (
     BoundaryCurve,
     BoundarySolverState,
-    BoundReport,
     EnsembleMember,
     GridSearchResult,
     MaassenUffinkReport,
@@ -41,7 +38,6 @@ from .bounds import (
     ensemble_point,
     maassen_uffink_compare,
     optimal_correction,
-    pure_state_projection,
     signed_boundary_distance,
     tight_value,
     variational_f,
@@ -57,7 +53,6 @@ from .counting import (
     simulate_intensities,
 )
 from .entropy import (
-    JointTable,
     NDPoint,
     binary_entropy,
     binary_entropy_derivative,

@@ -27,10 +27,6 @@ _SIGNS = np.array(OUTCOMES, dtype=float)
 # Constructors accept unit vectors up to this absolute norm error.
 UNIT_ATOL = 1e-12
 
-# Explicit normalization (from_vector) rejects anything shorter than this
-# rather than silently rescaling noise to the sphere.
-DEGENERATE_NORM = 1e-9
-
 
 def _check_outcome(outcome):
     if outcome not in (1, -1):
@@ -85,28 +81,12 @@ class PureState:
             )
 
     @classmethod
-    def from_vector(cls, x, y, z) -> "PureState":
-        """Normalize (x, y, z) onto the sphere. Rejects near-zero input."""
-        v = BlochVector(x, y, z)
-        n = v.norm()
-        if n < DEGENERATE_NORM:
-            raise ValidationError(f"degenerate direction, |r| = {n!r}")
-        return cls(BlochVector(v.x / n, v.y / n, v.z / n))
-
-    @classmethod
     def from_angles(cls, theta: float, phi: float) -> "PureState":
         """State at polar angle theta from +z and azimuth phi (radians)."""
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise ValidationError(f"angles must be finite, got ({theta!r}, {phi!r})")
         st = math.sin(theta)
         return cls(BlochVector(st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
-
-    def angles(self) -> tuple[float, float]:
-        """(theta, phi) with theta in [0, pi], phi in (-pi, pi].
-
-        Round-trips with from_angles to 1e-10 for theta away from the poles;
-        phi is indeterminate at the poles themselves.
-        """
-        d = self.direction
-        return (math.atan2(math.hypot(d.x, d.y), d.z), math.atan2(d.y, d.x))
 
     def antipode(self) -> "PureState":
         """The orthogonal state, -direction = psi(pi - theta, phi + pi)."""
@@ -133,7 +113,6 @@ class Observable:
         return (self.eigenstate(1), self.eigenstate(-1))
 
 
-SIGMA_X = Observable(BlochVector(1.0, 0.0, 0.0))
 SIGMA_Y = Observable(BlochVector(0.0, 1.0, 0.0))
 SIGMA_Z = Observable(BlochVector(0.0, 0.0, 1.0))
 
@@ -159,12 +138,6 @@ def born(overlap):
     p = 0.5 * (1.0 + x[..., None] * _SIGNS)
     # inner products can overshoot [-1, 1] by an ulp (np.clip is slower on 2x2)
     return np.minimum(np.maximum(p, 0.0, out=p), 1.0, out=p)
-
-
-def born_probability(state: PureState, obs: Observable, outcome: int) -> float:
-    """p(outcome) = (1 + outcome * r . axis) / 2 for a sharp measurement."""
-    _check_outcome(outcome)
-    return float(born(state.direction.dot(obs.axis))[OUTCOMES.index(outcome)])
 
 
 @dataclass(frozen=True)
@@ -216,7 +189,9 @@ class ProjectiveInstrument:
             object.__setattr__(self, "post_map", CorrectionMap.identity_for(self.measured))
 
     def outcome_probability(self, state: PureState, outcome: int) -> float:
-        return born_probability(state, self.measured, outcome)
+        """p(outcome) = (1 + outcome * r . axis) / 2 for the measured axis."""
+        _check_outcome(outcome)
+        return float(born(state.direction.dot(self.measured.axis))[OUTCOMES.index(outcome)])
 
     def apply(self, state: PureState, outcome: int) -> tuple[float, PureState]:
         """(outcome probability, emitted state) for one measurement branch."""

@@ -24,8 +24,9 @@ from .bloch import (
     Observable,
     polar_observable,
 )
+from .counting import _is_integer
 from .entropy import (
-    NDPoint,
+    DOMAIN_ATOL,
     _eigen_pair,
     binary_entropy,
     binary_entropy_derivative,
@@ -117,65 +118,46 @@ def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> Gr
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Diagnostics of one (noise, disturbance) point against both bounds.
-
-    tight_value is g[N]^2 + g[D]^2, signed so either reading of the tight
-    relation is auditable; saturation_gap = 1 - tight_value is 0 exactly on
-    the boundary.
-    """
-
-    c_ab: float
-    sum_nd: float
-    tight_value: float
-    satisfies_general: bool
-    satisfies_tight: bool
-    saturation_gap: float
-
-
 def _inverse_pair(noise_bits, disturbance_bits):
-    """(g[N], g[D]) from a single inverse-entropy call on the stacked pair,
-    each clipped to [0, 1] bits first."""
-    pair = np.stack(np.broadcast_arrays(noise_bits, disturbance_bits))
-    g = binary_entropy_inverse(np.clip(pair, 0.0, 1.0))
-    return g[0], g[1]
+    """(g[N], g[D]) in the shapes of their arguments, from one inverse-entropy
+    call over both."""
+    n = np.asarray(noise_bits, dtype=float)
+    d = np.asarray(disturbance_bits, dtype=float)
+    g = binary_entropy_inverse(np.concatenate([n.ravel(), d.ravel()]))
+    return g[:n.size].reshape(n.shape), g[n.size:].reshape(d.shape)
 
 
 def tight_value(noise_bits, disturbance_bits):
-    """g[N]^2 + g[D]^2 for scalars or arrays of (noise, disturbance) bits.
+    """g[N]^2 + g[D]^2 for scalars or arrays of (noise, disturbance) bits,
+    broadcast together.
 
     It is at most 1 for every physical point and exactly 1 on the tradeoff
-    boundary. One inverse-entropy call covers both arguments.
+    boundary. One inverse-entropy call covers both arguments; bits outside
+    [0, 1] (beyond 1e-12 slack) raise DomainError.
     """
     g_n, g_d = _inverse_pair(noise_bits, disturbance_bits)
     tight = g_n * g_n + g_d * g_d
     return float(tight) if np.ndim(tight) == 0 else tight
 
 
-def check_bounds(
-    point: NDPoint,
-    a: Observable = SIGMA_Z,
-    b: Observable = SIGMA_Y,
-    tolerance: float = 1e-9,
-) -> BoundReport:
-    """Evaluate the general bound N + D >= c_AB and the tight qubit bound
-    g[N]^2 + g[D]^2 <= 1 for one point.
+def check_bounds(noise_bits, disturbance_bits, a: Observable = SIGMA_Z, b: Observable = SIGMA_Y,
+                 tolerance: float = 1e-9):
+    """(tight_value, satisfies_general, satisfies_tight) of (noise,
+    disturbance) bits against the general bound N + D >= c_AB and the tight
+    qubit bound g[N]^2 + g[D]^2 <= 1: floats and bools for scalars, arrays
+    for arrays, broadcast together.
 
     tolerance is the accepted slack: 1e-9 suits analytic inputs; sampled
     points should pass a few standard deviations' worth instead.
     """
-    c = c_ab(a, b)
-    total = point.noise + point.disturbance
-    tight = tight_value(point.noise, point.disturbance)
-    return BoundReport(
-        c_ab=c,
-        sum_nd=total,
-        tight_value=tight,
-        satisfies_general=bool(total >= c - tolerance),
-        satisfies_tight=bool(tight <= 1.0 + tolerance),
-        saturation_gap=1.0 - tight,
-    )
+    if not 0.0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    tight = tight_value(noise_bits, disturbance_bits)
+    general = np.add(noise_bits, disturbance_bits) >= c_ab(a, b) - tolerance
+    satisfied = tight <= 1.0 + tolerance
+    if np.ndim(tight) == 0:
+        return tight, bool(general), bool(satisfied)
+    return tight, general, satisfied
 
 
 def variational_f(theta):
@@ -189,10 +171,11 @@ def variational_f(theta):
     cos rounds to 1) raises DomainError.
     """
     arr = np.asarray(theta, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= math.pi / 2)):
+    # negated in-range tests, so that NaN fails them too
+    if np.any(~((arr > 0.0) & (arr < math.pi / 2))):
         raise DomainError("variational_f is defined on the open interval (0, pi/2)")
     s, c = np.sin(arr), np.cos(arr)
-    if np.any(s >= 1.0) or np.any(c >= 1.0):
+    if np.any(~((s < 1.0) & (c < 1.0))):
         raise DomainError("variational_f input too close to an endpoint singularity")
     out = (binary_entropy_derivative(s) / s) / (binary_entropy_derivative(c) / c)
     return float(out) if np.ndim(theta) == 0 else out
@@ -220,7 +203,7 @@ class BoundarySolverState:
         t = np.array(self.theta_m)
         folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
         resid = np.abs(variational_f(folded) - self.kappa)
-        if np.any(resid > 1e-8):
+        if not np.all(resid <= 1e-8):  # a NaN kappa fails this too
             raise ValidationError(
                 f"stationarity violated: max |f(theta_m) - kappa| = {float(resid.max())!r}"
             )
@@ -263,9 +246,6 @@ class BoundaryCurve(NamedTuple):
     noise: np.ndarray
     disturbance: np.ndarray
 
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(n), float(d)) for n, d in zip(self.noise, self.disturbance)]
-
 
 def boundary_curve(samples: int) -> BoundaryCurve:
     """Sample the boundary at `samples` equally spaced angles in [0, pi/2].
@@ -273,8 +253,8 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     Endpoints are (0, 1) and (1, 0) exactly; every point satisfies
     g[N]^2 + g[D]^2 = 1 within 1e-10.
     """
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples!r}")
+    if not _is_integer(samples) or samples < 2:
+        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
     theta = np.linspace(0.0, math.pi / 2, int(samples))
     return BoundaryCurve(theta, binary_entropy(np.cos(theta)), binary_entropy(np.sin(theta)))
 
@@ -282,7 +262,7 @@ def boundary_curve(samples: int) -> BoundaryCurve:
 def boundary_disturbance(noise_bits):
     """Disturbance of the boundary point with the given noise: the minimal
     disturbance compatible with the tight relation."""
-    return _boundary_disturbance_of_g(binary_entropy_inverse(np.clip(noise_bits, 0.0, 1.0)))
+    return _boundary_disturbance_of_g(binary_entropy_inverse(noise_bits))
 
 
 def _boundary_disturbance_of_g(g_noise):
@@ -293,6 +273,10 @@ def _boundary_disturbance_of_g(g_noise):
 def signed_boundary_distance(noise_bits, disturbance_bits):
     """Vertical distance to the boundary in bits; negative means the point
     lies in the prohibited region below the curve."""
+    d = np.asarray(disturbance_bits, dtype=float)
+    # a negated in-range test, so that NaN fails it too
+    if np.any(~((d >= -DOMAIN_ATOL) & (d <= 1.0 + DOMAIN_ATOL))):
+        raise DomainError("disturbance bits must lie in [0, 1]")
     return disturbance_bits - boundary_disturbance(noise_bits)
 
 
@@ -308,7 +292,7 @@ class EnsembleMember:
         if not -1e-12 <= self.weight <= 1.0 + 1e-12:
             raise ValidationError(f"weight must lie in [0, 1], got {self.weight!r}")
         n = self.state.norm()
-        if n > 1.0 + 1e-12:
+        if not n <= 1.0 + 1e-12:  # NaN fails this too
             raise ValidationError(f"Bloch vector must satisfy |r| <= 1, got |r| = {n!r}")
 
 
@@ -323,19 +307,6 @@ def ensemble_point(members) -> tuple[float, float]:
     n = sum(m.weight * binary_entropy(m.state.z) for m in members)
     d = sum(m.weight * binary_entropy(m.state.y) for m in members)
     return (float(n), float(d))
-
-
-def pure_state_projection(members) -> list[EnsembleMember]:
-    """Project each member onto the pure y-z state with the same y component:
-    r' = (0, r_y, s sqrt(1 - r_y^2)) with s = +1 when r_z >= 0 and -1
-    otherwise. This never increases H(sigma_z) and preserves H(sigma_y)."""
-    out = []
-    for m in members:
-        ry = m.state.y
-        sign = 1.0 if m.state.z >= 0.0 else -1.0
-        rz = sign * math.sqrt(max(1.0 - ry * ry, 0.0))
-        out.append(EnsembleMember(m.weight, BlochVector(0.0, ry, rz)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -391,10 +362,12 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     region is bounded below by the straight N + D = 1 segment, not by the
     curve.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials!r}")
-    if max_members < 1:
-        raise ValidationError(f"max_members must be >= 1, got {max_members!r}")
+    if not _is_integer(trials) or trials < 1:
+        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_integer(max_members) or max_members < 1:
+        raise ValidationError(f"max_members must be an integer >= 1, got {max_members!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
 
     sizes = rng.integers(1, max_members + 1, size=trials)
@@ -471,8 +444,8 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     """Sweep y-z-plane pure states at `samples` angles in [0, pi/2] and
     compare the entropy sum H(sigma_z) + H(sigma_y) against the boundary's
     N + D (the sweep covers all such states up to the h(x) = h(-x) symmetry)."""
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples!r}")
+    if not _is_integer(samples) or samples < 2:
+        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
     thetas = np.linspace(0.0, math.pi / 2, int(samples))
     # PureState.from_angles(t, pi/2).direction, without building the states
     r_z = np.array([math.cos(t) for t in thetas.tolist()])

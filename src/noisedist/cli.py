@@ -23,7 +23,7 @@ from . import __version__
 from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, polar_observable
 from .bounds import (
     boundary_curve,
-    c_ab,
+    check_bounds,
     correction_grid_search,
     ensemble_boundary_oracle,
     maassen_uffink_compare,
@@ -391,15 +391,10 @@ def run_sweep(opt) -> int:
         columns = _analytic_sweep(thetas, opt.correction, target)
     else:
         columns = _counted_sweep(thetas, opt.mode, opt.correction, target, opt.shots, opt.seed)
-    n, d0, dcorr = (col.tolist() for col in columns)
-    sum_nd = [a + b for a, b in zip(n, dcorr)]
-    # the checks of check_bounds, with one inverse-entropy call for the grid
-    c = c_ab(SIGMA_Z, SIGMA_Y)
-    tight = tight_value(n, dcorr).tolist()
+    n, d0, dcorr = columns
+    tight, general_ok, tight_ok = check_bounds(n, np.stack([d0, dcorr]), tolerance=tolerance)
     columns = dict(zip(SWEEP_CSV_HEADER.split(","), [
-        thetas, n, d0, dcorr, sum_nd, tight,
-        [s >= c - tolerance and a + b >= c - tolerance for s, a, b in zip(sum_nd, n, d0)],
-        [t <= 1.0 + tolerance for t in tight],
+        thetas, n, d0, dcorr, n + dcorr, tight[1], general_ok.all(axis=0), tight_ok[1],
     ]))
     config = {
         "mode": opt.mode,
@@ -515,13 +510,13 @@ def _verify_checks(opt):
 
     # bound checks run on (possibly perturbed) disturbances; the perturbation
     # is the documented negative control and must trip these two checks
-    d0_chk = np.clip(d0_pipe - opt.perturb_disturbance, 0.0, 1.0)
-    dopt_chk = np.clip(dopt_pipe - opt.perturb_disturbance, 0.0, 1.0)
-    slack = min(np.min(n_pipe + d0_chk), np.min(n_pipe + dopt_chk)) - 1.0
-    checks.append(("general-bound", slack >= -1e-9,
+    d_chk = np.clip(np.stack([d0_pipe, dopt_pipe]) - opt.perturb_disturbance, 0.0, 1.0)
+    tight, general_ok, _ = check_bounds(n_pipe, d_chk)
+    slack = np.min(n_pipe + d_chk) - 1.0
+    checks.append(("general-bound", bool(general_ok.all()),
                    f"min(N+D)-c_AB={slack:.3e} over {thetas.size} angles, both corrections"))
 
-    tight_dev = np.max(np.abs(tight_value(n_pipe, dopt_chk) - 1.0))
+    tight_dev = np.max(np.abs(tight[1] - 1.0))
     checks.append(("tight-saturation", tight_dev <= 1e-9,
                    f"max|g[N]^2+g[Dopt]^2-1|={tight_dev:.3e}"))
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -222,24 +221,6 @@ class IntensityTable:
 
     def to_json(self) -> str:
         return self._write("json")
-
-    @classmethod
-    def from_json(cls, text: str) -> "IntensityTable":
-        data = json.loads(text)
-        counts = np.zeros((2, 2, 2))
-        index = {1: 0, -1: 1}
-        for row in data["counts"]:
-            counts[index[row["input"]], index[row["mu"]], index[row["beta_prime"]]] = row["count"]
-        return cls(
-            family=data["family"],
-            counts=counts,
-            theta=math.radians(data["theta_deg"]),
-            shots=data["shots"],
-            seed=data["seed"],
-            mode=data["mode"],
-            correction=data.get("correction", "identity"),
-            efficiency=data.get("efficiency", 1.0),
-        )
 
 
 def simulate_intensities(

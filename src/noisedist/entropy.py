@@ -91,29 +91,6 @@ def binary_entropy_inverse(y):
     return float(x) if np.ndim(y) == 0 else x
 
 
-@dataclass(frozen=True, eq=False)
-class JointTable:
-    """Joint distribution p(x, y) over two finite outcome alphabets, indexed
-    p[i, j] in the (+1, -1) storage order; entries must be non-negative and
-    sum to 1 within 1e-9.
-    """
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.ndim != 2:
-            raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
-        # negated in-range tests, so that NaN fails them too; entries that
-        # are non-negative and sum to 1 are finite
-        if not np.all(arr >= 0.0):
-            raise ValidationError("joint table entries must be non-negative")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValidationError(f"joint table must sum to 1, got {total!r}")
-        object.__setattr__(self, "p", arr)
-
-
 def _cond_entropy_given_last(p):
     """H(X|Y) in bits for arrays shaped (..., nx, ny), conditioning on the
     last axis. Zero cells contribute nothing; conditioning outcomes with zero
@@ -132,10 +109,20 @@ def _cond_entropy_given_last(p):
 def conditional_entropy(joint, given: str = "y") -> float:
     """Conditional Shannon entropy of a 2D joint table, in bits.
 
-    given="y" returns H(X|Y), given="x" returns H(Y|X). Accepts a JointTable
-    or a raw probability matrix, which is checked as a JointTable.
+    given="y" returns H(X|Y), given="x" returns H(Y|X). The table p[i, j]
+    is indexed in the (+1, -1) storage order; its entries must be
+    non-negative and sum to 1 within 1e-9.
     """
-    arr = (joint if isinstance(joint, JointTable) else JointTable(joint)).p
+    arr = np.asarray(joint, dtype=float)
+    if arr.ndim != 2:
+        raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
+    # negated in-range tests, so that NaN fails them too; entries that are
+    # non-negative and sum to 1 are finite
+    if not np.all(arr >= 0.0):
+        raise ValidationError("joint table entries must be non-negative")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= 1e-9:
+        raise ValidationError(f"joint table must sum to 1, got {total!r}")
     if given == "y":
         return float(_cond_entropy_given_last(arr))
     if given == "x":

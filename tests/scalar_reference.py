@@ -17,16 +17,24 @@ with SeedSequence of the list of Python ints [seed, family code, input
 index, float bit patterns]. The batched draw must give the same counts, so
 tests compare them with ==.
 
+For the ensemble oracle: the member-by-member pure-state projection behind
+its projection fields.
+
+For the serializers: the counts of an intensity table read back from its
+JSON text.
+
 Nothing here calls the kernel (`born`, `joint_tables`, `noise_bits`,
 `disturbance_bits`), the count estimator or the conditional-entropy helper
 they share.
 """
 
+import json
+import math
 import struct
 
 import numpy as np
 
-from noisedist import SIGMA_Y, SIGMA_Z, ProjectiveInstrument
+from noisedist import SIGMA_Y, SIGMA_Z, BlochVector, EnsembleMember, ProjectiveInstrument
 from noisedist.bloch import OUTCOMES
 
 
@@ -135,4 +143,26 @@ def per_table_counts(measurement, correction, family, shots, seed, mode, efficie
         else:  # poisson
             cells = rng.poisson(shots * efficiency * joint[i])
         counts[i] = cells
+    return counts
+
+
+def pure_state_projection(members):
+    """Project each member onto the pure y-z state with the same y component:
+    r' = (0, r_y, s sqrt(1 - r_y^2)) with s = +1 when r_z >= 0 and -1
+    otherwise. This never increases H(sigma_z) and preserves H(sigma_y)."""
+    out = []
+    for m in members:
+        ry = m.state.y
+        sign = 1.0 if m.state.z >= 0.0 else -1.0
+        rz = sign * math.sqrt(max(1.0 - ry * ry, 0.0))
+        out.append(EnsembleMember(m.weight, BlochVector(0.0, ry, rz)))
+    return out
+
+
+def counts_from_json(text):
+    """The counts [input, mu, beta'] of an intensity table's JSON text."""
+    counts = np.zeros((2, 2, 2))
+    index = {1: 0, -1: 1}
+    for row in json.loads(text)["counts"]:
+        counts[index[row["input"]], index[row["mu"]], index[row["beta_prime"]]] = row["count"]
     return counts

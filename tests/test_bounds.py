@@ -9,14 +9,12 @@ import pytest
 
 import noisedist.bounds
 from noisedist import (
-    SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     BlochVector,
     CorrectionMap,
     DomainError,
     EnsembleMember,
-    NDPoint,
     Observable,
     ProjectiveInstrument,
     PureState,
@@ -34,14 +32,13 @@ from noisedist import (
     maassen_uffink_compare,
     optimal_correction,
     polar_observable,
-    pure_state_projection,
     signed_boundary_distance,
     tight_value,
     variational_f,
 )
 from noisedist.cli import main
 from noisedist.tables import write_table
-from scalar_reference import scalar_disturbance
+from scalar_reference import pure_state_projection, scalar_disturbance
 
 H_HALF = 0.81127812445913286
 H_SIN45 = 0.6008760366928561
@@ -181,43 +178,76 @@ class TestGridSearch:
 
 class TestCheckBounds:
     def test_extremal_point_saturates_both(self):
-        report = check_bounds(NDPoint(0.0, 1.0))
-        assert report.c_ab == 1.0
-        assert report.sum_nd == 1.0
-        assert report.tight_value == 1.0
-        assert report.saturation_gap == 0.0
-        assert report.satisfies_general and report.satisfies_tight
+        assert check_bounds(0.0, 1.0) == (1.0, True, True)
 
     def test_optimal_pair_at_45_saturates_tight(self):
-        report = check_bounds(NDPoint(H_SIN45, H_SIN45))
-        assert abs(report.tight_value - 1.0) <= 1e-9
-        assert report.sum_nd == pytest.approx(MU_SUM_45, abs=1e-12)
-        assert report.satisfies_general and report.satisfies_tight
+        tight, general, satisfied = check_bounds(H_SIN45, H_SIN45)
+        assert abs(tight - 1.0) <= 1e-9
+        assert general and satisfied
 
     def test_uncorrected_pair_at_45_has_slack(self):
-        report = check_bounds(NDPoint(H_SIN45, H_HALF))
-        assert report.tight_value == pytest.approx(0.75, abs=1e-9)
-        assert report.sum_nd == pytest.approx(H_SIN45 + H_HALF, abs=1e-12)
-        assert report.saturation_gap == pytest.approx(0.25, abs=1e-9)
+        tight, general, satisfied = check_bounds(H_SIN45, H_HALF)
+        assert tight == pytest.approx(0.75, abs=1e-9)
+        assert general and satisfied
 
     def test_violations_are_flagged(self):
-        report = check_bounds(NDPoint(0.2, 0.2))
-        assert not report.satisfies_tight
-        assert not report.satisfies_general
+        _, general, satisfied = check_bounds(0.2, 0.2)
+        assert not satisfied
+        assert not general
 
     def test_tight_value_on_arrays_matches_scalar_reports(self):
         n = np.array([0.0, H_SIN45, H_SIN45, 0.2, 1.0])
         d = np.array([1.0, H_SIN45, H_HALF, 0.2, 0.0])
         tight = tight_value(n, d)
         assert tight.shape == (5,)
+        checked = check_bounds(n, d)
         for k in range(5):
-            assert tight[k] == check_bounds(NDPoint(n[k], d[k])).tight_value
+            scalar = check_bounds(n[k], d[k])
+            assert tight[k] == scalar[0] == checked[0][k]
+            assert (checked[1][k], checked[2][k]) == scalar[1:]
         assert isinstance(tight_value(H_SIN45, H_HALF), float)
 
     def test_non_complementary_pair_lowers_the_general_bound(self):
-        report = check_bounds(NDPoint(0.2, 0.3), SIGMA_Z, polar_observable(math.radians(60.0)))
-        assert report.c_ab == pytest.approx(CAB_60, abs=1e-12)
-        assert report.satisfies_general
+        # N + D = 0.5 is below c_AB = 1 but above c_AB = 0.415 at 60 degrees
+        assert not check_bounds(0.2, 0.3)[1]
+        assert check_bounds(0.2, 0.3, SIGMA_Z, polar_observable(math.radians(60.0)))[1]
+
+    def test_scalar_input_gives_a_float_and_two_bools(self):
+        tight, general, satisfied = check_bounds(0.3, 0.9)
+        assert type(tight) is float
+        assert type(general) is bool and type(satisfied) is bool
+
+    def test_broadcasts_noise_against_stacked_disturbances(self):
+        # one noise row against two disturbance rows, as the sweep checks D0 and Dcorr
+        n = np.array([0.0, H_SIN45, 0.2])
+        d = np.array([[1.0, H_HALF, 0.2], [1.0, H_SIN45, 0.9]])
+        tight, general, satisfied = check_bounds(n, d)
+        assert tight.shape == general.shape == satisfied.shape == (2, 3)
+        assert general.tolist() == [[True, True, False], [True, True, True]]
+        for i in range(2):
+            for k in range(3):
+                assert tight[i, k] == tight_value(n[k], d[i, k])
+
+    def test_tolerance_is_the_accepted_slack(self):
+        # N + D = 0.4 passes the general bound once 0.6 bits of slack are allowed
+        assert not check_bounds(0.2, 0.2, tolerance=0.59)[1]
+        assert check_bounds(0.2, 0.2, tolerance=0.61)[1]
+        tight = check_bounds(0.2, 0.2)[0]
+        assert check_bounds(0.2, 0.2, tolerance=tight - 1.0)[2]
+
+    @pytest.mark.parametrize("tolerance", [-1e-9, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValidationError):
+            check_bounds(0.5, 0.5, tolerance=tolerance)
+
+    def test_bits_outside_the_unit_interval_raise(self):
+        # the inverse entropy checks its domain with 1e-12 slack, so 2 bits
+        # is an error rather than being clipped to 1 bit
+        with pytest.raises(DomainError):
+            tight_value(2.0, 0.5)
+        with pytest.raises(DomainError):
+            check_bounds(0.5, -0.1)
+        assert tight_value(1.0 + 1e-13, 0.5) == tight_value(1.0, 0.5)
 
 
 class TestVariationalF:
@@ -244,6 +274,13 @@ class TestVariationalF:
     def test_endpoints_rejected(self, theta):
         with pytest.raises(DomainError):
             variational_f(theta)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, theta):
+        with pytest.raises(DomainError):
+            variational_f(theta)
+        with pytest.raises(DomainError):
+            variational_f(np.array([0.3, theta]))
 
 
 class TestCorrectionOrdering:
@@ -277,6 +314,12 @@ class TestVariationalSolverState:
         # reconstructing with a wrong multiplier must fail the invariant
         with pytest.raises(ValidationError):
             BoundarySolverState(state.theta_m, state.kappa * 1.5, state.lam)
+
+    def test_nan_multiplier_rejected(self):
+        from noisedist import BoundarySolverState
+
+        with pytest.raises(ValidationError):
+            BoundarySolverState((0.3,), kappa=math.nan, lam=0.0)
 
     def test_weight_multiplier_balances_the_weight_condition(self):
         from noisedist import variational_solver_state
@@ -340,12 +383,23 @@ class TestBoundaryCurve:
         assert boundary_disturbance(0.0) == 1.0
         assert boundary_disturbance(1.0) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, -0.5])
+    def test_signed_distance_rejects_disturbance_outside_the_bits(self, bad):
+        with pytest.raises(DomainError):
+            signed_boundary_distance(0.5, bad)
+
     def test_sample_validation(self):
         with pytest.raises(ValidationError):
             boundary_curve(1)
 
     def test_points_iterator(self):
-        assert len(boundary_curve(11).points()) == 11
+        theta, noise, disturbance = boundary_curve(11)
+        assert len(theta) == len(noise) == len(disturbance) == 11
+
+    @pytest.mark.parametrize("samples", [math.nan, 2.5, True, "3"])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValidationError):
+            boundary_curve(samples)
 
     def test_csv_export(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -383,6 +437,11 @@ class TestEnsembles:
             EnsembleMember(1.2, BlochVector(0, 0, 1))
         with pytest.raises(ValidationError):
             EnsembleMember(0.5, BlochVector(0, 1.2, 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_member_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            EnsembleMember(0.5, BlochVector(0, bad, 0))
 
     def test_projection_lemma_on_random_members(self):
         rng = np.random.default_rng(5)
@@ -443,6 +502,26 @@ class TestEnsembleOracle:
         with pytest.raises(ValidationError):
             ensemble_boundary_oracle(10, max_members=0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 1.5}, {"trials": math.nan}, {"trials": True},
+        {"trials": 10, "max_members": 2.5}, {"trials": 10, "seed": -1},
+        {"trials": 10, "seed": 0.5},
+    ], ids=["trials-1.5", "trials-nan", "trials-true", "max-members-2.5", "seed-negative",
+            "seed-0.5"])
+    def test_integer_arguments(self, kwargs):
+        with pytest.raises(ValidationError):
+            ensemble_boundary_oracle(**kwargs)
+
+    def test_projection_fields_bound_the_worst_ensemble(self):
+        # the scalar projection of the worst ensemble stays within the report's
+        # extremes, which are taken over every trial
+        report = ensemble_boundary_oracle(5000, max_members=4, seed=2)
+        members = list(report.worst_ensemble)
+        n, d = ensemble_point(members)
+        n_p, d_p = ensemble_point(pure_state_projection(members))
+        assert n_p - n <= report.max_projection_noise_increase + 1e-15
+        assert abs(d_p - d) <= report.max_projection_disturbance_shift + 1e-15
+
 
 class TestMaassenUffink:
     def test_minimum_is_one_bit_at_the_endpoints_only(self):
@@ -495,11 +574,16 @@ class TestMaassenUffink:
         with pytest.raises(ValidationError):
             maassen_uffink_compare(1)
 
+    @pytest.mark.parametrize("samples", [math.nan, 2.5])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValidationError):
+            maassen_uffink_compare(samples)
+
 
 def test_x_axis_observable_has_maximal_noise_everywhere():
     # sigma_x is complementary to both sigma_z and sigma_y
     from noisedist import noise
 
-    inst = ProjectiveInstrument(SIGMA_X)
+    inst = ProjectiveInstrument(Observable(BlochVector(1.0, 0.0, 0.0)))
     assert noise(inst, SIGMA_Z) == 1.0
     assert disturbance(inst, SIGMA_Y) == 1.0

@@ -1,0 +1,53 @@
+"""The public surface of noisedist, and the names the benchmark's span tracer
+(perfbench/tracing.py) patches by name. A name removed from the package must
+be removed from this list on purpose; a name the tracer lists must keep
+resolving, or traced benchmark runs break. tracing.py is only read here."""
+
+import importlib
+import types
+
+import noisedist
+from test_tracing import _load_tracing
+
+PUBLIC_NAMES = [
+    "BlochVector", "BoundaryCurve", "BoundarySolverState", "CorrectionMap", "DomainError",
+    "EnsembleMember", "EstimatedProbabilities", "EstimationError", "GridSearchResult",
+    "IntensityTable", "MaassenUffinkReport", "NDPoint", "NoiseDistError", "OUTCOMES",
+    "Observable", "OracleReport", "ProjectiveInstrument", "PureState", "SIGMA_Y", "SIGMA_Z",
+    "ValidationError", "bayes_invert", "binary_entropy", "binary_entropy_derivative",
+    "binary_entropy_inverse", "boundary_curve", "boundary_disturbance", "c_ab",
+    "check_bounds", "conditional_entropy", "correction_grid_search", "disturbance",
+    "disturbance_bits", "disturbance_surface", "ensemble_boundary_oracle", "ensemble_point",
+    "estimate_probabilities", "joint_tables", "maassen_uffink_compare", "nd_from_counts",
+    "noise", "noise_bits", "optimal_correction", "polar_angle", "polar_observable",
+    "signed_boundary_distance", "simulate_intensities", "theory_disturbance_optimal",
+    "theory_disturbance_uncorrected", "theory_noise", "tight_value", "variational_f",
+    "variational_solver_state",
+]
+
+# GROUPS keys naming functions the package no longer has; their groups read 0
+STALE_TRACED = {"entropy.sequential_joint", "bounds.surface_to_csv", "bounds.boundary_to_csv"}
+
+
+def test_public_names_are_pinned():
+    names = sorted(name for name, value in vars(noisedist).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_NAMES
+
+
+def _resolves(dotted: str) -> bool:
+    layer, *path = dotted.split(".")
+    obj = importlib.import_module(f"noisedist.{layer}")
+    for attr in path:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_every_traced_name_resolves():
+    tracing = _load_tracing()
+    traced = set(tracing.GROUPS)
+    traced |= {f"{layer}.{cls}.{method}" for layer, classes in tracing.METHODS.items()
+               for cls, methods in classes.items() for method in methods}
+    assert {name for name in traced if not _resolves(name)} <= STALE_TRACED
