@@ -26,7 +26,6 @@ from .bloch import (
 )
 from .counting import _is_integer
 from .entropy import (
-    DOMAIN_ATOL,
     _eigen_pair,
     binary_entropy,
     binary_entropy_derivative,
@@ -140,8 +139,13 @@ def tight_value(noise_bits, disturbance_bits):
     return float(tight) if np.ndim(tight) == 0 else tight
 
 
-def check_bounds(noise_bits, disturbance_bits, a: Observable = SIGMA_Z, b: Observable = SIGMA_Y,
-                 tolerance: float = 1e-9):
+def check_bounds(
+    noise_bits,
+    disturbance_bits,
+    a: Observable = SIGMA_Z,
+    b: Observable = SIGMA_Y,
+    tolerance: float = 1e-9,
+):
     """(tight_value, satisfies_general, satisfies_tight) of (noise,
     disturbance) bits against the general bound N + D >= c_AB and the tight
     qubit bound g[N]^2 + g[D]^2 <= 1: floats and bools for scalars, arrays
@@ -272,12 +276,10 @@ def _boundary_disturbance_of_g(g_noise):
 
 def signed_boundary_distance(noise_bits, disturbance_bits):
     """Vertical distance to the boundary in bits; negative means the point
-    lies in the prohibited region below the curve."""
-    d = np.asarray(disturbance_bits, dtype=float)
-    # a negated in-range test, so that NaN fails it too
-    if np.any(~((d >= -DOMAIN_ATOL) & (d <= 1.0 + DOMAIN_ATOL))):
-        raise DomainError("disturbance bits must lie in [0, 1]")
-    return disturbance_bits - boundary_disturbance(noise_bits)
+    lies in the prohibited region below the curve. The inverse-entropy call
+    checks that both arguments lie in [0, 1] bits."""
+    g_n, _ = _inverse_pair(noise_bits, disturbance_bits)
+    return disturbance_bits - _boundary_disturbance_of_g(g_n)
 
 
 @dataclass(frozen=True)
