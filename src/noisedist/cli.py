@@ -31,9 +31,9 @@ from .bounds import (
     tight_value,
     variational_f,
 )
-from .counting import MAX_SHOTS, _draw_counts, _input_entropy_given_out, simulate_intensities
+from .counting import (MAX_SHOTS, _dot, _draw_counts, _input_entropy_given_out,
+                       simulate_intensities)
 from .entropy import (
-    _eigen_pair,
     binary_entropy,
     binary_entropy_derivative,
     binary_entropy_inverse,
@@ -309,69 +309,59 @@ def _make_correction(kind, target, m_obs):
         return None, "identity"
     if kind == "optimal":
         return optimal_correction(m_obs.axis, SIGMA_Y), "optimal"
-    vt_deg, phi_deg = target
-    cmap = CorrectionMap.from_rotation_angles(math.radians(vt_deg), math.radians(phi_deg))
-    return cmap, f"custom({vt_deg:g},{phi_deg:g})"
+    cmap = CorrectionMap.from_rotation_angles(*map(math.radians, target))
+    return cmap, "custom({:g},{:g})".format(*target)
 
 
 # ---------------------------------------------------------------- sweep
 
 
-def _analytic_sweep(thetas_deg, correction_kind, target):
-    """Exact (N, D0, Dcorr) arrays over a theta grid in degrees, one kernel
-    call per quantity for all angles."""
-    theta = np.radians(thetas_deg)
-    m = (0.0, np.sin(theta), np.cos(theta))  # polar_observable's axis at every angle
-    a_m, b_m = (o.axis.x * m[0] + o.axis.y * m[1] + o.axis.z * m[2] for o in (SIGMA_Z, SIGMA_Y))
-    # without a correction the targets are the measured eigenstates +-m
-    d0 = disturbance_bits(b_m, _eigen_pair(b_m))
-    if correction_kind == "none":
-        dcorr = d0
-    elif correction_kind == "optimal":
-        # optimal_correction: mu goes to |mu b> where b . m >= 0, else to |-mu b>
-        b_b = np.where(b_m >= 0.0, 1.0, -1.0) * SIGMA_Y.axis.dot(SIGMA_Y.axis)
-        dcorr = disturbance_bits(b_m, _eigen_pair(b_b))
-    else:  # a custom map does not depend on m
-        corr_map, _ = _make_correction(correction_kind, target, None)
-        dcorr = disturbance_bits(b_m, corr_map.overlaps(SIGMA_Y))
-    return noise_bits(a_m), d0, dcorr
+_A_AXIS, _B_AXIS = (np.array(o.axis.as_tuple()) for o in (SIGMA_Z, SIGMA_Y))
+
+#: The re-preparation targets (mu = +1, -1) of the optimal correction, indexed
+#: by b . m < 0: optimal_correction sends mu to |mu b> where b . m >= 0, else
+#: to |-mu b>.
+_OPTIMAL_PAIRS = np.array([[_B_AXIS, -_B_AXIS], [-_B_AXIS, _B_AXIS]])
 
 
 def _sweep_targets(thetas_deg, correction_kind, target):
-    """Measurement axes (n, 3) over a theta grid in degrees, with the
-    re-preparation targets (n, 2, 3) of no correction and of the chosen one
-    (None for none), bit for bit those of polar_observable,
+    """Measurement axes (n, 3) over a theta grid in degrees, and the
+    re-preparation targets (n, k, 2, 3) of mu = +1, -1 in one buffer: those
+    of no correction (+m and -m), then those of the chosen one unless it is
+    none. All are bit for bit those of polar_observable,
     CorrectionMap.identity_for and _make_correction."""
     radians = [math.radians(theta_deg) for theta_deg in thetas_deg]
-    axes = np.zeros((len(radians), 3))
+    targets = np.zeros((len(radians), 1 if correction_kind == "none" else 2, 2, 3))
+    axes = targets[:, 0, 0]
     axes[:, 1] = np.fromiter(map(math.sin, radians), float, len(radians))
     axes[:, 2] = np.fromiter(map(math.cos, radians), float, len(radians))
-    identity = np.stack([axes, -axes], axis=1)
-    if correction_kind == "none":
-        return axes, identity, None
+    np.negative(axes, out=targets[:, 0, 1])
     if correction_kind == "optimal":
-        # optimal_correction: mu goes to |mu b> where b . m >= 0, else to |-mu b>
-        b = SIGMA_Y.axis
-        pair = np.array([b.as_tuple(), (-b).as_tuple()])
-        b_m = b.x * axes[:, 0] + b.y * axes[:, 1] + b.z * axes[:, 2]
-        return axes, identity, np.where((b_m >= 0.0)[:, None, None], pair, pair[::-1])
-    corr_map, _ = _make_correction(correction_kind, target, None)
-    pair = [corr_map.target_plus.direction.as_tuple(), corr_map.target_minus.direction.as_tuple()]
-    return axes, identity, np.broadcast_to(pair, identity.shape)
+        targets[:, 1] = _OPTIMAL_PAIRS[(_dot(axes, _B_AXIS) < 0.0).astype(int)]
+    elif correction_kind == "custom":
+        corr_map = CorrectionMap.from_rotation_angles(*map(math.radians, target))
+        targets[:, 1] = [corr_map.target_plus.direction.as_tuple(),
+                         corr_map.target_minus.direction.as_tuple()]
+    return axes, targets
 
 
-def _counted_sweep(thetas_deg, mode, correction_kind, target, shots, seed):
-    """(N, D0, Dcorr) arrays over a theta grid in degrees, from the
-    intensity tables of every angle, drawn in one pass (A under the
-    correction, B without it, then B under it), and one estimator call."""
-    axes, identity, corrected = _sweep_targets(thetas_deg, correction_kind, target)
-    if corrected is None:
-        families, targets = "AB", [identity, identity]
-    else:
-        families, targets = "ABB", [corrected, identity, corrected]
-    counts = _draw_counts([seed], families, axes, np.stack(targets, axis=1), shots, mode)
+def _sweep_columns(thetas_deg, mode, correction_kind, target, shots, seed):
+    """(N, D0, Dcorr) arrays over a theta grid in degrees; without a
+    correction, Dcorr is D0. Analytic mode evaluates the kernel on the
+    overlaps of the axes and targets, one call for D0 and Dcorr. The other
+    modes draw the intensity tables of every angle in one pass (A under the
+    correction, B without it, then B under it) and make one estimator call."""
+    axes, targets = _sweep_targets(thetas_deg, correction_kind, target)
+    if mode == "analytic":  # b . m is the overlap of the first target of D0
+        overlaps = _dot(targets, _B_AXIS)
+        d = disturbance_bits(overlaps[:, :1, 0], overlaps)
+        return noise_bits(_dot(axes, _A_AXIS)), d[:, 0], d[:, -1]
+    # A under the last targets (they key its stream, not N), then B under each
+    families = "A" + "B" * targets.shape[1]
+    counts = _draw_counts([seed], families, axes, np.concatenate([targets[:, -1:], targets], 1),
+                          shots, mode)
     h = _input_entropy_given_out(counts[0], families)
-    return h[:, 0], h[:, 1], h[:, -1]  # without a correction, Dcorr is D0
+    return h[:, 0], h[:, 1], h[:, -1]
 
 
 def run_sweep(opt) -> int:
@@ -387,11 +377,7 @@ def run_sweep(opt) -> int:
     if tolerance is None:
         tolerance = 1e-9 if opt.mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
-    if opt.mode == "analytic":
-        columns = _analytic_sweep(thetas, opt.correction, target)
-    else:
-        columns = _counted_sweep(thetas, opt.mode, opt.correction, target, opt.shots, opt.seed)
-    n, d0, dcorr = columns
+    n, d0, dcorr = _sweep_columns(thetas, opt.mode, opt.correction, target, opt.shots, opt.seed)
     tight, general_ok, tight_ok = check_bounds(n, np.stack([d0, dcorr]), tolerance=tolerance)
     columns = dict(zip(SWEEP_CSV_HEADER.split(","), [
         thetas, n, d0, dcorr, n + dcorr, tight[1], general_ok.all(axis=0), tight_ok[1],
@@ -489,12 +475,10 @@ def _verify_checks(opt):
     in the bound checks, as a negative control for this very battery."""
     checks = []
 
-    paper_deg = parse_theta_spec(DEFAULT_THETA_SPEC)
-    fine_deg = [float(t) for t in range(181)]
-    grid_deg = sorted(set(paper_deg) | set(fine_deg))
+    grid_deg = [float(t) for t in range(181)]
     thetas = np.radians(grid_deg)
 
-    n_pipe, d0_pipe, dopt_pipe = _analytic_sweep(grid_deg, "optimal", None)
+    n_pipe, d0_pipe, dopt_pipe = _sweep_columns(grid_deg, "analytic", "optimal", None, 1, 0)
 
     dev = max(
         np.max(np.abs(n_pipe - theory_noise(thetas))),
@@ -502,8 +486,7 @@ def _verify_checks(opt):
         np.max(np.abs(dopt_pipe - theory_disturbance_optimal(thetas))),
     )
     pipe = np.stack([n_pipe, d0_pipe, dopt_pipe])  # rows N, D0, Dopt
-    idx = {deg: i for i, deg in enumerate(grid_deg)}
-    endpoints = pipe[:, [idx[0.0], idx[90.0], idx[180.0]]].T.tolist()
+    endpoints = pipe[:, [0, 90, 180]].T.tolist()
     endpoints_exact = endpoints == [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
     checks.append(("theory-curves", dev <= 1e-12 and endpoints_exact,
                    f"max|pipeline-closed form|={dev:.3e}, endpoints exact={endpoints_exact}"))
@@ -538,16 +521,18 @@ def _verify_checks(opt):
         f"|Dmin-h(sin50)|={abs(res.d_min - expect):.3e}",
     ))
 
-    paper = pipe[:, [idx[float(t_deg)] for t_deg in paper_deg]]
-    exact = np.stack(_counted_sweep(paper_deg, "exact", "optimal", None, 10**6, 0))
+    # the paper grid is part of the integer grid, so its columns are read off it
+    paper_deg = parse_theta_spec(DEFAULT_THETA_SPEC)
+    paper = pipe[:, [int(t_deg) for t_deg in paper_deg]]
+    exact = np.stack(_sweep_columns(paper_deg, "exact", "optimal", None, 10**6, 0))
     exact_dev = float(np.max(np.abs(exact - paper)))
     checks.append(("estimator-exact", exact_dev <= 1e-12,
                    f"max|counts pipeline-analytic|={exact_dev:.3e}"))
 
     # A without a correction and B under the optimal one, for 3 seeds
-    axes, identity, optimal = _sweep_targets(paper_deg, "optimal", None)
-    counts = _draw_counts([opt.seed, opt.seed + 1, opt.seed + 2], "AB", axes,
-                          np.stack([identity, optimal], axis=1), opt.shots, "multinomial")
+    axes, targets = _sweep_targets(paper_deg, "optimal", None)
+    counts = _draw_counts([opt.seed, opt.seed + 1, opt.seed + 2], "AB", axes, targets,
+                          opt.shots, "multinomial")
     sampled = _input_entropy_given_out(counts, "AB")
     sampled_dev = float(np.max(np.abs(sampled - paper[[0, 2]].T)))
     # the 0.01-bit tolerance is stated at 1e6 shots; scale it as 1/sqrt(shots)

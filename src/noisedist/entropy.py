@@ -217,16 +217,25 @@ def disturbance(
 # kernel above must reproduce, so nothing in them may be derived from it.
 
 
+def _finite_theta(theta):
+    """theta as a float array; a non-finite angle raises DomainError before
+    any trigonometry sees it."""
+    arr = np.asarray(theta, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("theta must be finite")
+    return arr
+
+
 def theory_noise(theta):
     """N(theta) = h(cos(theta))."""
-    return binary_entropy(np.cos(theta))
+    return binary_entropy(np.cos(_finite_theta(theta)))
 
 
 def theory_disturbance_uncorrected(theta):
     """D0(theta) = h(sin^2(theta)), no correction applied."""
-    return binary_entropy(np.sin(theta) ** 2)
+    return binary_entropy(np.sin(_finite_theta(theta)) ** 2)
 
 
 def theory_disturbance_optimal(theta):
     """Dopt(theta) = h(|sin(theta)|), optimal correction applied."""
-    return binary_entropy(np.abs(np.sin(theta)))
+    return binary_entropy(np.abs(np.sin(_finite_theta(theta))))

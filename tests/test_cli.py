@@ -1,7 +1,9 @@
 """Tests for the command-line interface: outputs, determinism, config
 precedence, schemas, and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -19,7 +21,17 @@ from hypothesis import strategies as st
 import noisedist.bounds
 import noisedist.cli
 import noisedist.entropy
-from noisedist import NoiseDistError
+from noisedist import (
+    SIGMA_Y,
+    SIGMA_Z,
+    CorrectionMap,
+    NoiseDistError,
+    ProjectiveInstrument,
+    disturbance,
+    noise,
+    optimal_correction,
+    polar_observable,
+)
 from noisedist.cli import (
     COMMANDS,
     DEFAULT_THETA_SPEC,
@@ -138,6 +150,41 @@ class TestSweep:
         dcorr_opt = float(b.read_text().strip().split("\n")[1].split(",")[3])
         assert dcorr_custom == pytest.approx(dcorr_opt, abs=1e-12)
         assert dcorr_opt == pytest.approx(H_SIN50, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "multinomial", "--shots", "1000",
+                                           "--seed", "4"]], ids=["analytic", "multinomial"])
+    def test_rows_follow_the_theta_order_with_repeats(self, mode, tmp_path):
+        # a sampled stream belongs to a (configuration, seed) pair, not to a row
+        out = tmp_path / "sweep.csv"
+        run_ok(["sweep", "--theta", "50,10,50", "--out", str(out)] + mode)
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["50.0", "10.0", "50.0"]
+        assert rows[0] == rows[2] != rows[1]
+
+    @given(thetas_deg=st.lists(st.floats(0.0, 180.0), max_size=8),
+           correction=st.sampled_from(["none", "optimal", "custom"]),
+           target=st.tuples(st.floats(0.0, 180.0), st.floats(-180.0, 360.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_analytic_sweep_equals_the_scalar_object_path(self, thetas_deg, correction,
+                                                          target):
+        thetas_deg = [0.0, 90.0, 180.0] + thetas_deg
+        argv = ["sweep", "--theta", ",".join(map(repr, thetas_deg)),
+                "--correction", correction, "--format", "json"]
+        if correction == "custom":
+            argv += ["--target", ",".join(map(repr, target))]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            run_ok(argv)
+        rows = json.loads(stdout.getvalue())["rows"]
+        for theta_deg, row in zip(thetas_deg, rows, strict=True):
+            m = polar_observable(math.radians(theta_deg))
+            inst = ProjectiveInstrument(m)
+            post = {"none": None,
+                    "optimal": optimal_correction(m, SIGMA_Y),
+                    "custom": CorrectionMap.from_rotation_angles(*map(math.radians, target)),
+                    }[correction]
+            assert (row["theta_deg"], row["N"], row["D0"], row["Dcorr"]) == (
+                theta_deg, noise(inst, SIGMA_Z), disturbance(inst, SIGMA_Y),
+                disturbance(inst, SIGMA_Y, post))
 
     def test_correction_none_duplicates_d0(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -450,14 +497,14 @@ def test_one_inverse_entropy_call_per_command(argv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("argv,disturbance_calls", [
-    (["sweep", "--theta", "0:180:0.25", "--correction", "none"], 1),
-    (["sweep", "--theta", "0:180:0.25"], 2),
-    (["sweep", "--theta", "0:180:0.25", "--correction", "custom", "--target", "30,60"], 2),
-    (["verify", "--trials", "0", "--shots", "10000"], 2),
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--theta", "0:180:0.25", "--correction", "none"],
+    ["sweep", "--theta", "0:180:0.25"],
+    ["sweep", "--theta", "0:180:0.25", "--correction", "custom", "--target", "30,60"],
+    ["verify", "--trials", "0", "--shots", "10000"],
 ], ids=["sweep-none", "sweep-optimal", "sweep-custom", "verify"])
-def test_analytic_pipeline_makes_one_kernel_call_per_quantity(
-        argv, disturbance_calls, monkeypatch, capsys):
+def test_analytic_pipeline_makes_one_kernel_call_per_quantity(argv, monkeypatch, capsys):
+    # D0 and Dcorr come from one disturbance_bits call over both target pairs
     seen = {"noise_bits": 0, "disturbance_bits": 0}
     for name in seen:
         def counted(*args, _real=getattr(noisedist.cli, name), _name=name):
@@ -466,7 +513,7 @@ def test_analytic_pipeline_makes_one_kernel_call_per_quantity(
         monkeypatch.setattr(noisedist.cli, name, counted)
     assert main(argv) == 0
     capsys.readouterr()
-    assert seen == {"noise_bits": 1, "disturbance_bits": disturbance_calls}
+    assert seen == {"noise_bits": 1, "disturbance_bits": 1}
 
 
 @pytest.mark.parametrize("argv,families", [
@@ -810,8 +857,7 @@ class TestSizeCaps:
     def test_theta_grid_cap(self, tmp_path, monkeypatch):
         # parse_theta_spec would fill a list of 1e18 floats with range()
         monkeypatch.setattr(noisedist.cli, "range", _must_not_run, raising=False)
-        monkeypatch.setattr(noisedist.cli, "_counted_sweep", _must_not_run)
-        monkeypatch.setattr(noisedist.cli, "_analytic_sweep", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_sweep_columns", _must_not_run)
         out = tmp_path / "out"
         run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--out", str(out)])
         run_usage_error(["sweep", "--theta", "0:1e9:1e-9", "--mode", "multinomial",

@@ -256,8 +256,8 @@ class TestBatchedDraw:
                                              shots, target):
         # a sweep's tables (A under the correction, B without, B under it)
         # for two seeds, against the table-by-table draw and simulate_intensities
-        axes, identity, corrected = _sweep_targets(thetas_deg, kind, target)
-        corrected = identity if corrected is None else corrected
+        axes, targets = _sweep_targets(thetas_deg, kind, target)
+        identity, corrected = targets[:, 0], targets[:, -1]
         seeds = [seed, seed + 1]
         counts = _draw_counts(seeds, "ABB", axes, np.stack([corrected, identity, corrected], 1),
                               shots, mode, efficiency)
@@ -282,14 +282,14 @@ class TestBatchedDraw:
             return real(input_m, target_b)
 
         monkeypatch.setattr(noisedist.counting, "joint_tables", counted)
-        axes, identity, optimal = _sweep_targets([0.0, 45.0, 170.0], "optimal", None)
+        axes, targets = _sweep_targets([0.0, 45.0, 170.0], "optimal", None)
         for mode in MODES:
-            _draw_counts([3, 4], "AB", axes, np.stack([identity, optimal], 1), 100, mode)
+            _draw_counts([3, 4], "AB", axes, targets, 100, mode)
         assert calls == [(3, 2, 2)] * 3
 
     def test_validation_covers_every_table(self):
-        axes, identity, _ = _sweep_targets([10.0, 20.0], "none", None)
-        targets = np.stack([identity, identity], 1)
+        axes, targets = _sweep_targets([10.0, 20.0], "none", None)
+        targets = targets.repeat(2, axis=1)
         for seeds, families in (([1, -1], "AB"), ([1, 2.0], "AB"), ([1], "AC")):
             with pytest.raises(ValidationError):
                 _draw_counts(seeds, families, axes, targets, 10, "multinomial")

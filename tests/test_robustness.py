@@ -3,6 +3,7 @@ in-domain values or raises NoiseDistError, over all floats with NaN and
 +-inf included. A NaN must never come back as a number of bits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from noisedist import (
     CorrectionMap,
+    DomainError,
     NoiseDistError,
     PureState,
     binary_entropy,
@@ -86,6 +88,18 @@ def test_finite_in_domain_or_raises(name, x, y):
         except NoiseDistError:
             continue
         assert _finite_in_range(values, low, high), (call, values)
+
+
+@pytest.mark.parametrize("func", [
+    theory_noise, theory_disturbance_uncorrected, theory_disturbance_optimal])
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, [0.5, -math.inf]])
+def test_theory_curves_reject_non_finite_theta_before_any_warning(func, theta):
+    # np.cos(inf) warns "invalid value"; under -W error that warning, not a
+    # NoiseDistError, would escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="theta must be finite"):
+            func(theta)
 
 
 sizes = st.one_of(st.integers(-3, 300), st.floats(), st.booleans())
