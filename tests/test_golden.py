@@ -136,6 +136,19 @@ GOLDEN = {
          "--format", "json"],
         "e327d93ffa6b3eff492ffa4b44c7370bf427903c38240e1c6e59122ac73c980b",
     ),
+    # 361 x 361 cells and 100,001 samples: several row blocks of the kernels
+    "correct-search-blocks-csv": (
+        ["correct-search", "--theta-m", "37.5", "--grid", "0.5"],
+        "917a9e797e494b12ac9a4bc9c196ab1d7d110865d9d837b00d34dc2b5ba59038",
+    ),
+    "correct-search-blocks-json": (
+        ["correct-search", "--theta-m", "37.5", "--grid", "0.5", "--format", "json"],
+        "fa07df3cd247c964353b40c18b1947f5e80b70f65e5e565732ec57852d83c05a",
+    ),
+    "boundary-100001-csv": (
+        ["boundary", "--samples", "100001"],
+        "a973903fca1e75b44640fb585a29de84c49739a6775b5ba779feed42794b849e",
+    ),
 }
 
 # (argv, exit code, SHA-256 of stdout) of the verify battery; the second is
@@ -156,6 +169,20 @@ VERIFY_GOLDEN = {
     ),
 }
 
+# (trials, max_members, seed) -> SHA-256 of repr(ensemble_boundary_oracle(...)):
+# every field at full precision, the worst ensemble's members included. The
+# trial counts sit at one trial, around 32,768 and at 100,000, and the member
+# counts at 1, 4 and 7.
+ORACLE_GOLDEN = {
+    (1, 4, 0): "d46b72595f46f63b01d3c6e8ca348d0564a47ece707a00b894632cae56ef5c8b",
+    (32767, 4, 1): "22f973c55ecf91f8b4ccbd280970ccae36bb9dfaf65b5e01903bbd1cfcc74858",
+    (32768, 4, 2): "b34e0dfcac3e21bcc1a51856281492f7fb3f0883ad322ef1119971580c8e6dbd",
+    (32769, 4, 3): "198d0bac7e91716a4dde506611651e484ff9a53c30c72055e8f89e717de9c1be",
+    (100_000, 4, 0): "c797a5143bc88f6647645b3ea14e77739b02a1e7446a70ef52ac048719d9cb46",
+    (20_000, 1, 5): "a9de6be151100784e73a35dbe8295a92f43106dc7e8249af778e3a25e90eea32",
+    (20_000, 7, 6): "be038d14a2717b921bde8c404f2c3aafef3e4e1d5992bd4de43781c21052aac9",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_hash_is_pinned(name, tmp_path):
@@ -170,6 +197,13 @@ def test_verify_report_hash_is_pinned(name, capsys):
     argv, code, digest = VERIFY_GOLDEN[name]
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN), ids=str)
+def test_oracle_report_hash_is_pinned(case):
+    trials, max_members, seed = case
+    report = noisedist.ensemble_boundary_oracle(trials, max_members=max_members, seed=seed)
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == ORACLE_GOLDEN[case]
 
 
 @pytest.mark.parametrize("name", [
