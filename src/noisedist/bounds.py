@@ -34,6 +34,33 @@ from .entropy import (
 )
 from .errors import DomainError, ValidationError
 
+#: Size caps, checked before anything is allocated: cells of a
+#: correction-target lattice or boundary samples, and ensemble-oracle trials.
+MAX_SURFACE_CELLS = 10_000_000
+MAX_TRIALS = 1_000_000
+
+# Items per block of the row-blocked kernels: boundary samples, lattice cells
+# of the disturbance surface (rounded to whole vartheta rows), and half the
+# trials of an oracle block. A block pays a fixed cost of small numpy calls:
+# about 50 us for the surface, 160 us for the boundary with its tight_value
+# column and 330 us for the oracle, most of it binary_entropy_inverse and
+# binary_entropy calls; at these sizes that stays under 1% of the commands
+# that use them, and one float64 value per item takes 128 KB.
+_BLOCK_SIZE = 16384
+
+
+def _row_blocks(kernel, out, *rows, block: int = 0):
+    """Set out[i:j] = kernel(*(r[i:j] for r in rows)) for consecutive blocks
+    of at most `block` rows (_BLOCK_SIZE if not given) and return out, a
+    preallocated array. Every result row depends only on the same rows of
+    the inputs, so the blocks write the values of one whole-array call, bit
+    for bit, while only one block's temporaries are alive."""
+    block = block or _BLOCK_SIZE
+    for start in range(0, len(out), block):
+        span = slice(start, start + block)
+        out[span] = kernel(*(r[span] for r in rows))
+    return out
+
 
 def c_ab(a: Observable, b: Observable) -> float:
     """Incompatibility constant -log2 max |<a|b>|^2 over eigenstate pairs.
@@ -67,15 +94,27 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     The instrument measures along (0, sin theta_m, cos theta_m); outcome +1
     is re-prepared as psi(vartheta, phi), outcome -1 as its antipode. Returns
     the H(B|B') surface with shape (len(varthetas), len(phis)): one
-    disturbance_bits call over the lattice of target overlaps.
+    disturbance_bits call over the target overlaps of each block of vartheta
+    rows. More than MAX_SURFACE_CELLS cells raise ValidationError.
     """
     m = polar_observable(theta_m)
-    vt = np.asarray(varthetas, dtype=float)[:, None]
-    ph = np.asarray(phis, dtype=float)[None, :]
+    vt = np.asarray(varthetas, dtype=float)
+    ph = np.asarray(phis, dtype=float)
+    if vt.size * ph.size > MAX_SURFACE_CELLS:
+        raise ValidationError(
+            f"lattice of {vt.size} x {ph.size} cells exceeds {MAX_SURFACE_CELLS} cells")
+    b_m = b.axis.dot(m.axis)
     bx, by, bz = b.axis.as_tuple()
-    # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
-    overlap = np.sin(vt) * np.cos(ph) * bx + np.sin(vt) * np.sin(ph) * by + np.cos(vt) * bz
-    return disturbance_bits(b.axis.dot(m.axis), _eigen_pair(overlap))
+    cos_ph, sin_ph = np.cos(ph), np.sin(ph)
+
+    def surface_rows(v):
+        v = v[:, None]
+        # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
+        overlap = np.sin(v) * cos_ph * bx + np.sin(v) * sin_ph * by + np.cos(v) * bz
+        return disturbance_bits(b_m, _eigen_pair(overlap))
+
+    return _row_blocks(surface_rows, np.empty((vt.size, ph.size)), vt,
+                       block=max(1, _BLOCK_SIZE // max(ph.size, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +294,18 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     """Sample the boundary at `samples` equally spaced angles in [0, pi/2].
 
     Endpoints are (0, 1) and (1, 0) exactly; every point satisfies
-    g[N]^2 + g[D]^2 = 1 within 1e-10.
+    g[N]^2 + g[D]^2 = 1 within 1e-10. At most MAX_SURFACE_CELLS samples.
     """
     if not _is_integer(samples) or samples < 2:
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
+    if samples > MAX_SURFACE_CELLS:
+        raise ValidationError(f"samples must be at most {MAX_SURFACE_CELLS}, got {samples!r}")
     theta = np.linspace(0.0, math.pi / 2, int(samples))
-    return BoundaryCurve(theta, binary_entropy(np.cos(theta)), binary_entropy(np.sin(theta)))
+    return BoundaryCurve(
+        theta,
+        _row_blocks(lambda t: binary_entropy(np.cos(t)), np.empty(theta.size), theta),
+        _row_blocks(lambda t: binary_entropy(np.sin(t)), np.empty(theta.size), theta),
+    )
 
 
 def boundary_disturbance(noise_bits):
@@ -356,7 +401,8 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     the simplex and Bloch vectors uniform in the unit ball (mixed states
     included), computes their (N*, D*) points, and records the extremes of
     the signed boundary distance together with the pure-state-projection
-    diagnostics. Fully vectorized; deterministic for fixed arguments.
+    diagnostics. Vectorized over blocks of trials; deterministic for fixed
+    arguments. At most MAX_TRIALS trials.
 
     Expected outcome (see OracleReport): the projection lemma holds for every
     member of every trial and single-member points never fall below the
@@ -366,57 +412,75 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     """
     if not _is_integer(trials) or trials < 1:
         raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     if not _is_integer(max_members) or max_members < 1:
         raise ValidationError(f"max_members must be an integer >= 1, got {max_members!r}")
     if not _is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
 
+    # all draws whole and in this order, so the stream does not depend on the
+    # blocks; the normals become Bloch vectors and gamma the weights in place
     sizes = rng.integers(1, max_members + 1, size=trials)
-    active = np.arange(max_members)[None, :] < sizes[:, None]
     gamma = rng.exponential(1.0, size=(trials, max_members))
-    gamma *= active
-    weights = gamma / gamma.sum(axis=1, keepdims=True)
+    normals = rng.normal(size=(trials, max_members, 3))
+    uniform = rng.uniform(size=(trials, max_members))
 
-    direction = rng.normal(size=(trials, max_members, 3))
-    direction /= np.maximum(np.linalg.norm(direction, axis=-1, keepdims=True), 1e-300)
-    radius = rng.uniform(size=(trials, max_members)) ** (1.0 / 3.0)
-    bloch = direction * radius[..., None]
+    # what the report needs across blocks besides the distances: the largest
+    # tight excess, projection noise increase, member noise increase and
+    # disturbance shift, and the least N* + D*
+    highs = np.full(4, -np.inf)
+    least_sum = np.full(1, np.inf)
 
-    h_z = binary_entropy(bloch[..., 2])
-    h_y = binary_entropy(bloch[..., 1])
-    n_star = (weights * h_z).sum(axis=1)
-    d_star = (weights * h_y).sum(axis=1)
+    def trial_rows(size, weights, bloch, radius_draw):
+        active = np.arange(max_members)[None, :] < size[:, None]
+        weights *= active
+        weights /= weights.sum(axis=1, keepdims=True)
+        bloch /= np.maximum(np.linalg.norm(bloch, axis=-1, keepdims=True), 1e-300)
+        bloch *= (radius_draw ** (1.0 / 3.0))[..., None]
 
-    ry = bloch[..., 1]
-    rz_proj = np.where(bloch[..., 2] >= 0.0, 1.0, -1.0) * np.sqrt(np.clip(1.0 - ry * ry, 0.0, None))
-    h_z_proj = binary_entropy(rz_proj)
-    n_proj = (weights * h_z_proj).sum(axis=1)
-    d_proj = (weights * binary_entropy(ry)).sum(axis=1)
+        h_z = binary_entropy(bloch[..., 2])
+        h_y = binary_entropy(bloch[..., 1])
+        n_star = (weights * h_z).sum(axis=1)
+        d_star = (weights * h_y).sum(axis=1)
 
-    # one inverse call serves both the tight excess and the boundary distance
-    g_n, g_d = _inverse_pair(n_star, d_star)
-    distances = d_star - _boundary_disturbance_of_g(g_n)
+        ry = bloch[..., 1]
+        rz_proj = np.where(bloch[..., 2] >= 0.0, 1.0, -1.0) * np.sqrt(np.clip(1.0 - ry * ry, 0.0, None))
+        h_z_proj = binary_entropy(rz_proj)
+        n_proj = (weights * h_z_proj).sum(axis=1)
+        d_proj = (weights * binary_entropy(ry)).sum(axis=1)
+
+        # one inverse call serves both the tight excess and the boundary distance
+        g_n, g_d = _inverse_pair(n_star, d_star)
+        member_increase = np.where(active, h_z_proj - h_z, -np.inf)
+        np.maximum(highs, [np.max(g_n * g_n + g_d * g_d - 1.0), np.max(n_proj - n_star),
+                           np.max(member_increase), np.max(np.abs(d_proj - d_star))], out=highs)
+        np.minimum(least_sum, np.min(n_star + d_star), out=least_sum)
+        return d_star - _boundary_disturbance_of_g(g_n)
+
+    distances = _row_blocks(trial_rows, np.empty(trials), sizes, gamma, normals, uniform,
+                            block=2 * _BLOCK_SIZE)
+    weights, bloch = gamma, normals
     single = sizes == 1
     worst = int(np.argmin(distances))
     worst_members = tuple(
         EnsembleMember(float(weights[worst, k]), BlochVector(*bloch[worst, k]))
         for k in range(int(sizes[worst]))
     )
-    member_increase = np.where(active, h_z_proj - h_z, -np.inf)
     return OracleReport(
         trials=int(trials),
         max_members=int(max_members),
         seed=int(seed),
         min_signed_distance=float(np.min(distances)),
-        max_tight_excess=float(np.max(g_n * g_n + g_d * g_d - 1.0)),
+        max_tight_excess=float(highs[0]),
         boundary_violations=int(np.sum(distances < -1e-9)),
         min_single_member_distance=float(np.min(distances[single])) if np.any(single) else float("nan"),
-        max_projection_noise_increase=float(np.max(n_proj - n_star)),
-        max_member_noise_increase=float(np.max(member_increase)),
-        max_projection_disturbance_shift=float(np.max(np.abs(d_proj - d_star))),
+        max_projection_noise_increase=float(highs[1]),
+        max_member_noise_increase=float(highs[2]),
+        max_projection_disturbance_shift=float(highs[3]),
         worst_ensemble=worst_members,
-        min_entropy_sum=float(np.min(n_star + d_star)),
+        min_entropy_sum=float(least_sum[0]),
     )
 
 
@@ -445,9 +509,12 @@ class MaassenUffinkReport:
 def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     """Sweep y-z-plane pure states at `samples` angles in [0, pi/2] and
     compare the entropy sum H(sigma_z) + H(sigma_y) against the boundary's
-    N + D (the sweep covers all such states up to the h(x) = h(-x) symmetry)."""
+    N + D (the sweep covers all such states up to the h(x) = h(-x) symmetry).
+    At most MAX_SURFACE_CELLS samples."""
     if not _is_integer(samples) or samples < 2:
         raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
+    if samples > MAX_SURFACE_CELLS:
+        raise ValidationError(f"samples must be at most {MAX_SURFACE_CELLS}, got {samples!r}")
     thetas = np.linspace(0.0, math.pi / 2, int(samples))
     # PureState.from_angles(t, pi/2).direction, without building the states
     r_z = np.array([math.cos(t) for t in thetas.tolist()])

@@ -22,6 +22,9 @@ import numpy as np
 from . import __version__
 from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, polar_observable
 from .bounds import (
+    MAX_SURFACE_CELLS,
+    MAX_TRIALS,
+    _row_blocks,
     boundary_curve,
     check_bounds,
     correction_grid_search,
@@ -59,12 +62,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 #: Size caps, checked arithmetically before anything is allocated: points of
-#: a --theta grid, cells of a correct-search lattice or boundary samples, and
-#: ensemble-oracle trials (about 660 MB peak at the cap). Shots are capped by
-#: counting.MAX_SHOTS.
+#: a --theta grid, cells of a correct-search lattice or boundary samples
+#: (bounds.MAX_SURFACE_CELLS), and ensemble-oracle trials (bounds.MAX_TRIALS;
+#: about 210 MB peak at the cap). The library checks the last two again.
+#: Shots are capped by counting.MAX_SHOTS.
 MAX_THETA_POINTS = 1_000_000
-MAX_SURFACE_CELLS = 10_000_000
-MAX_TRIALS = 1_000_000
 
 SWEEP_CSV_HEADER = "theta_deg,N,D0,Dcorr,sum_ND,tight_value,general_ok,tight_ok"
 BOUNDARY_CSV_HEADER = "theta_deg,N,D,mu_line_D,tight_value"
@@ -443,7 +445,7 @@ def run_boundary(opt) -> int:
     curve = boundary_curve(opt.samples)
     columns = dict(zip(BOUNDARY_CSV_HEADER.split(","), [
         np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
-        tight_value(curve.noise, curve.disturbance),
+        _row_blocks(tight_value, np.empty(curve.theta.size), curve.noise, curve.disturbance),
     ]))
     with _output(opt.out) as stream:
         write_table(stream, columns, opt.format, meta={"samples": int(opt.samples)})

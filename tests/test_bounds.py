@@ -3,6 +3,7 @@ and the ensemble oracle."""
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -521,6 +522,64 @@ class TestEnsembleOracle:
         n_p, d_p = ensemble_point(pure_state_projection(members))
         assert n_p - n <= report.max_projection_noise_increase + 1e-15
         assert abs(d_p - d) <= report.max_projection_disturbance_shift + 1e-15
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc while fn() runs. numpy reports its
+    buffers to tracemalloc, so the figure is deterministic."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRowBlocks:
+    """The surface, the boundary with its tight_value column and the oracle
+    are evaluated in blocks of bounds._BLOCK_SIZE items. Every value is a
+    per-cell, per-sample or per-trial computation, so no block size may
+    change a bit, and the peaks scale with the results, not the
+    temporaries."""
+
+    @staticmethod
+    def _outputs(tmp_path):
+        grid = np.radians(np.arange(0.0, 180.1, 7.5))
+        out = tmp_path / "boundary.json"
+        assert main(["boundary", "--samples", "301", "--format", "json", "--out", str(out)]) == 0
+        return (
+            disturbance_surface(0.7, grid, grid[::2]).tobytes(),
+            [column.tobytes() for column in boundary_curve(301)],
+            out.read_bytes(),
+            repr(ensemble_boundary_oracle(300, max_members=5, seed=8)),
+            repr(ensemble_boundary_oracle(200, max_members=1, seed=2)),
+        )
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_block_size_changes_no_bit(self, block, monkeypatch, tmp_path):
+        monkeypatch.setattr(noisedist.bounds, "_BLOCK_SIZE", 10**9)
+        whole = self._outputs(tmp_path)
+        monkeypatch.setattr(noisedist.bounds, "_BLOCK_SIZE", block)
+        assert self._outputs(tmp_path) == whole
+
+    def test_oracle_peak_is_set_by_its_draws(self):
+        trials, members = 100_000, 4
+        # sizes (int64), and per member a gamma, three normals and a uniform
+        draws = 8 * trials * (1 + members * 5)
+        peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
+        assert peak < 2 * draws
+
+    def test_surface_peak_is_a_small_multiple_of_the_surface(self):
+        grid = np.radians(np.arange(0.0, 180.25, 0.5))  # 361 x 361 cells
+        peak = _traced_peak(lambda: disturbance_surface(math.radians(37.5), grid, grid))
+        assert peak < 4 * 8 * grid.size**2
+
+    def test_boundary_peak_is_a_small_multiple_of_its_columns(self, tmp_path):
+        samples = 100_000
+        assert _traced_peak(lambda: boundary_curve(samples)) < 2 * 3 * 8 * samples
+        # six columns: theta, theta in degrees, N, D, mu_line_D, tight_value
+        argv = ["boundary", "--samples", str(samples), "--out", str(tmp_path / "b.csv")]
+        assert _traced_peak(lambda: main(argv)) < 2 * 6 * 8 * samples
 
 
 class TestMaassenUffink:

@@ -3,6 +3,7 @@ in-domain values or raises NoiseDistError, over all floats with NaN and
 +-inf included. A NaN must never come back as a number of bits."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,16 +12,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisedist import (
+    SIGMA_Y,
     CorrectionMap,
     DomainError,
     NoiseDistError,
     PureState,
+    ValidationError,
     binary_entropy,
     binary_entropy_derivative,
     binary_entropy_inverse,
     boundary_curve,
     boundary_disturbance,
     check_bounds,
+    correction_grid_search,
+    disturbance_surface,
     ensemble_boundary_oracle,
     maassen_uffink_compare,
     polar_observable,
@@ -31,6 +36,7 @@ from noisedist import (
     tight_value,
     variational_f,
 )
+from noisedist.bounds import MAX_SURFACE_CELLS, MAX_TRIALS
 
 
 def _targets(cmap):
@@ -154,3 +160,34 @@ def test_ensemble_boundary_oracle_is_finite_or_raises(trials, max_members, seed)
     # cannot happen when every trial has one member
     single = report.min_single_member_distance
     assert (math.isnan(single) and max_members > 1) or _finite_in_range([single], -1e-9, 1.0)
+
+
+# Sizes are capped before anything is allocated: a request above the cap
+# raises ValidationError, not numpy's MemoryError, and allocates next to
+# nothing first. The arguments are built outside the traced span.
+OVERSIZED = {
+    "boundary-curve-1e13": (boundary_curve, lambda: (10**13,)),
+    "boundary-curve-cap+1": (boundary_curve, lambda: (MAX_SURFACE_CELLS + 1,)),
+    "maassen-uffink-1e13": (maassen_uffink_compare, lambda: (10**13,)),
+    "oracle-1e10": (ensemble_boundary_oracle, lambda: (10**10,)),
+    "oracle-cap+1": (ensemble_boundary_oracle, lambda: (MAX_TRIALS + 1,)),
+    "grid-search-1e6-squared": (
+        correction_grid_search, lambda: (0.5, SIGMA_Y, np.zeros(10**6), np.zeros(10**6))),
+    "surface-cap+1": (
+        disturbance_surface, lambda: (0.5, np.zeros(MAX_SURFACE_CELLS // 1000 + 1),
+                                      np.zeros(1000))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_requests_raise_before_allocating(name):
+    func, make_args = OVERSIZED[name]
+    args = make_args()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="exceeds|at most"):
+            func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
