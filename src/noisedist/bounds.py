@@ -42,8 +42,8 @@ MAX_TRIALS = 1_000_000
 # Items per block of the row-blocked kernels: boundary samples, lattice cells
 # of the disturbance surface (rounded to whole vartheta rows), and half the
 # trials of an oracle block. A block pays a fixed cost of small numpy calls:
-# about 50 us for the surface, 160 us for the boundary with its tight_value
-# column and 330 us for the oracle, most of it binary_entropy_inverse and
+# about 60 us for the surface, 160 us for the boundary with its tight_value
+# column and 360 us for the oracle, most of it binary_entropy_inverse and
 # binary_entropy calls; at these sizes that stays under 1% of the commands
 # that use them, and one float64 value per item takes 128 KB.
 _BLOCK_SIZE = 16384

@@ -64,7 +64,7 @@ EXIT_USAGE = 2
 #: Size caps, checked arithmetically before anything is allocated: points of
 #: a --theta grid, cells of a correct-search lattice or boundary samples
 #: (bounds.MAX_SURFACE_CELLS), and ensemble-oracle trials (bounds.MAX_TRIALS;
-#: about 210 MB peak at the cap). The library checks the last two again.
+#: about 215 MB peak at the cap). The library checks the last two again.
 #: Shots are capped by counting.MAX_SHOTS.
 MAX_THETA_POINTS = 1_000_000
 
