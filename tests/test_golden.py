@@ -145,6 +145,15 @@ GOLDEN = {
         ["correct-search", "--theta-m", "37.5", "--grid", "0.5", "--format", "json"],
         "fa07df3cd247c964353b40c18b1947f5e80b70f65e5e565732ec57852d83c05a",
     ),
+    # 3 x 18,001 cells: each vartheta row is longer than one surface block
+    "correct-search-long-rows-csv": (
+        ["correct-search", "--theta-m", "37.3", "--grid", "90,0.01"],
+        "7e7d03e9278609c3fa393db73546ab2f374cb20df2553abdec53db8c77fb8912",
+    ),
+    "correct-search-long-rows-json": (
+        ["correct-search", "--theta-m", "37.3", "--grid", "90,0.01", "--format", "json"],
+        "3afa1d4be3da3a04af15c6281c6b621d31534ed9a510d0307644bbef5557d695",
+    ),
     "boundary-100001-csv": (
         ["boundary", "--samples", "100001"],
         "a973903fca1e75b44640fb585a29de84c49739a6775b5ba779feed42794b849e",
