@@ -35,7 +35,8 @@ from .entropy import (
 from .errors import DomainError, ValidationError
 
 #: Size caps, checked before anything is allocated: cells of a
-#: correction-target lattice or boundary samples, and ensemble-oracle trials.
+#: correction-target lattice, boundary samples or ensemble-oracle members
+#: (trials x max_members), and ensemble-oracle trials.
 MAX_SURFACE_CELLS = 10_000_000
 MAX_TRIALS = 1_000_000
 
@@ -402,7 +403,8 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     included), computes their (N*, D*) points, and records the extremes of
     the signed boundary distance together with the pure-state-projection
     diagnostics. Vectorized over blocks of trials; deterministic for fixed
-    arguments. At most MAX_TRIALS trials.
+    arguments. At most MAX_TRIALS trials and MAX_SURFACE_CELLS members
+    (trials x max_members).
 
     Expected outcome (see OracleReport): the projection lemma holds for every
     member of every trial and single-member points never fall below the
@@ -416,6 +418,10 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     if not _is_integer(max_members) or max_members < 1:
         raise ValidationError(f"max_members must be an integer >= 1, got {max_members!r}")
+    if int(trials) * int(max_members) > MAX_SURFACE_CELLS:
+        raise ValidationError(
+            f"trials x max_members must be at most {MAX_SURFACE_CELLS}, "
+            f"got {trials} x {max_members}")
     if not _is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -171,6 +171,10 @@ OVERSIZED = {
     "maassen-uffink-1e13": (maassen_uffink_compare, lambda: (10**13,)),
     "oracle-1e10": (ensemble_boundary_oracle, lambda: (10**10,)),
     "oracle-cap+1": (ensemble_boundary_oracle, lambda: (MAX_TRIALS + 1,)),
+    "oracle-members-1e13": (ensemble_boundary_oracle, lambda: (1, 10**13)),
+    "oracle-members-cap+1": (
+        ensemble_boundary_oracle, lambda: (MAX_TRIALS, MAX_SURFACE_CELLS // MAX_TRIALS + 1)),
+    "oracle-members-int64-max": (ensemble_boundary_oracle, lambda: (2, np.int64(2**63 - 1))),
     "grid-search-1e6-squared": (
         correction_grid_search, lambda: (0.5, SIGMA_Y, np.zeros(10**6), np.zeros(10**6))),
     "surface-cap+1": (
