@@ -41,12 +41,13 @@ MAX_SURFACE_CELLS = 10_000_000
 MAX_TRIALS = 1_000_000
 
 # Items per block of the row-blocked kernels: boundary samples, lattice cells
-# of the disturbance surface (rounded to whole vartheta rows), and half the
-# trials of an oracle block. A block pays a fixed cost of small numpy calls:
-# about 60 us for the surface, 160 us for the boundary with its tight_value
-# column and 360 us for the oracle, most of it binary_entropy_inverse and
-# binary_entropy calls; at these sizes that stays under 1% of the commands
-# that use them, and one float64 value per item takes 128 KB.
+# of the disturbance surface and of the table emitter (see _lattice_blocks),
+# and half the trials of an oracle block. A block pays a fixed cost of small
+# numpy calls: about 60 us for the surface, 160 us for the boundary with its
+# tight_value column and 360 us for the oracle, most of it
+# binary_entropy_inverse and binary_entropy calls; at these sizes that stays
+# under 1% of the commands that use them, and one float64 value per item
+# takes 128 KB.
 _BLOCK_SIZE = 16384
 
 
@@ -61,6 +62,20 @@ def _row_blocks(kernel, out, *rows, block: int = 0):
         span = slice(start, start + block)
         out[span] = kernel(*(r[span] for r in rows))
     return out
+
+
+def _lattice_blocks(n_rows: int, n_cols: int):
+    """(rows, cols) slice pairs that tile an n_rows x n_cols lattice in
+    row-major order, each block at most _BLOCK_SIZE cells: runs of whole rows
+    while a row fits in a block, else runs of cells of one row."""
+    if n_cols > _BLOCK_SIZE:
+        for i in range(n_rows):
+            for start in range(0, n_cols, _BLOCK_SIZE):
+                yield slice(i, i + 1), slice(start, min(start + _BLOCK_SIZE, n_cols))
+        return
+    step = _BLOCK_SIZE // max(n_cols, 1)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows)), slice(0, n_cols)
 
 
 def c_ab(a: Observable, b: Observable) -> float:
@@ -95,8 +110,8 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     The instrument measures along (0, sin theta_m, cos theta_m); outcome +1
     is re-prepared as psi(vartheta, phi), outcome -1 as its antipode. Returns
     the H(B|B') surface with shape (len(varthetas), len(phis)): one
-    disturbance_bits call over the target overlaps of each block of vartheta
-    rows. More than MAX_SURFACE_CELLS cells raise ValidationError.
+    disturbance_bits call over the target overlaps of each lattice block (see
+    _lattice_blocks). More than MAX_SURFACE_CELLS cells raise ValidationError.
     """
     m = polar_observable(theta_m)
     vt = np.asarray(varthetas, dtype=float)
@@ -108,14 +123,13 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     bx, by, bz = b.axis.as_tuple()
     cos_ph, sin_ph = np.cos(ph), np.sin(ph)
 
-    def surface_rows(v):
-        v = v[:, None]
+    out = np.empty((vt.size, ph.size))
+    for rows, cols in _lattice_blocks(vt.size, ph.size):
+        v = vt[rows, None]
         # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
-        overlap = np.sin(v) * cos_ph * bx + np.sin(v) * sin_ph * by + np.cos(v) * bz
-        return disturbance_bits(b_m, _eigen_pair(overlap))
-
-    return _row_blocks(surface_rows, np.empty((vt.size, ph.size)), vt,
-                       block=max(1, _BLOCK_SIZE // max(ph.size, 1)))
+        overlap = np.sin(v) * cos_ph[cols] * bx + np.sin(v) * sin_ph[cols] * by + np.cos(v) * bz
+        out[rows, cols] = disturbance_bits(b_m, _eigen_pair(overlap))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

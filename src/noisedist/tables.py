@@ -11,7 +11,18 @@ A table is either a list of rows (columns of equal length: 1-D arrays, or
 lists of Python scalars of one type) or a lattice (2-D arrays, rows in
 row-major cell order). A lattice column may have
 shape (n, 1), one value per lattice row, or (1, m), one value per lattice
-column; each such value is formatted once, not once per cell.
+column; such a value is formatted at most once per lattice block, not once
+per cell.
+
+A lattice is formatted in the blocks of bounds._lattice_blocks (at most
+bounds._BLOCK_SIZE cells: whole lattice rows, or runs of one row when a row
+is longer) and written one lattice row, or one such run, at a time. Within a
+block, float64 cells are formatted once per distinct bit pattern and the
+strings gathered back into cell order; repr depends on the bits alone, so
+the bytes are those of formatting every cell, while only one block's
+strings are held. A correction surface repeats its values often (it depends
+on the target only through sin vartheta sin phi), so this formats a fraction
+of its cells.
 """
 
 from __future__ import annotations
@@ -20,7 +31,8 @@ import json
 
 import numpy as np
 
-#: Rows per write of a 1-D table; a lattice is written one lattice row at a time.
+#: Rows per write of a 1-D table; a lattice is written one lattice row, or
+#: one block-long run of a row, at a time.
 CHUNK_ROWS = 4096
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -54,21 +66,47 @@ def _row_chunks(columns: list, fmt: str):
     n_rows, n_cols = np.broadcast_shapes(*(c.shape for c in columns))
     if n_cols == 0:
         return
+    # imported here: bounds imports counting, which imports this module
+    from .bounds import _BLOCK_SIZE, _lattice_blocks
 
-    # axis columns are formatted once: one string per lattice row, repeated
-    # along it, or one list per lattice column, shared by every row
+    # each getter gives, for one lattice block, a list of cell strings per
+    # row of the block; a lattice column of rows that fit in a block is
+    # formatted once, one list shared by every row
     def cells_of(c):
         if c.shape[1] == 1:
-            strings = _format(np.broadcast_to(c, (n_rows, 1)), fmt)
-            return lambda i: [strings[i]] * n_cols
+            c = np.broadcast_to(c, (n_rows, 1))
+            return lambda rows, cols: [[s] * (cols.stop - cols.start)
+                                       for s in _format(c[rows], fmt)]
         if c.shape[0] == 1:
+            if n_cols > _BLOCK_SIZE:  # a block is part of one row
+                return lambda rows, cols: [_format(c[0, cols], fmt)]
             strings = _format(c, fmt)
-            return lambda i: strings
-        return lambda i: _format(c[i], fmt)
+            return lambda rows, cols: [strings] * (rows.stop - rows.start)
+
+        def block_cells(rows, cols):
+            cells = _format_block(c[rows, cols], fmt)
+            width = cols.stop - cols.start
+            return [cells[k:k + width] for k in range(0, len(cells), width)]
+        return block_cells
 
     getters = [cells_of(np.atleast_2d(c)) for c in columns]
-    for i in range(n_rows):
-        yield [get(i) for get in getters]
+    for rows, cols in _lattice_blocks(n_rows, n_cols):
+        yield from zip(*[get(rows, cols) for get in getters])
+
+
+def _format_block(cells: np.ndarray, fmt: str) -> list[str]:
+    """The strings of a 2-D block of lattice cells, in row-major order.
+
+    Float64 cells are formatted once per distinct bit pattern, so 0.0 and
+    -0.0 and NaNs of different payloads each keep their own string; since
+    repr depends on the bits alone, the strings are those of formatting every
+    cell."""
+    if cells.dtype != np.float64:
+        return _format(cells, fmt)
+    bits = np.ascontiguousarray(cells).view(np.int64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array(_format(distinct.view(np.float64), fmt), dtype=object)
+    return strings[inverse].tolist()
 
 
 def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,

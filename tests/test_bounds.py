@@ -574,6 +574,12 @@ class TestRowBlocks:
         peak = _traced_peak(lambda: disturbance_surface(math.radians(37.5), grid, grid))
         assert peak < 4 * 8 * grid.size**2
 
+    def test_long_row_surface_peak_is_a_small_multiple_of_the_surface(self):
+        # 2 x 180,001 cells: a block is part of one vartheta row
+        varthetas, phis = np.radians([0.0, 180.0]), np.radians(np.arange(0.0, 180.0005, 0.001))
+        peak = _traced_peak(lambda: disturbance_surface(math.radians(37.5), varthetas, phis))
+        assert peak < 4 * 8 * varthetas.size * phis.size
+
     def test_boundary_peak_is_a_small_multiple_of_its_columns(self, tmp_path):
         samples = 100_000
         assert _traced_peak(lambda: boundary_curve(samples)) < 2 * 3 * 8 * samples

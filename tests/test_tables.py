@@ -4,13 +4,18 @@ output for the same table, across chunk boundaries and for lattices."""
 import csv
 import io
 import json
+import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisedist.bounds
 import noisedist.tables
+from noisedist.bounds import disturbance_surface
 from noisedist.tables import write_table
 
 
@@ -85,6 +90,95 @@ def test_lattice_axes_broadcast_in_row_major_order():
     meta = {"theta_m_deg": 50.0, "argmin": {"D": 0.0, "phi_deg": 1e-300}}
     assert (emit(lattice, "json", meta=meta, rows_key="surface")
             == reference_json(flat, meta, rows_key="surface"))
+
+
+def _float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# few values, so that a lattice repeats them: both zeros, NaNs of two
+# payloads and both signs, both infinities, subnormals and ordinary floats
+POOL = [0.0, -0.0, math.nan, _float_of_bits(0x7FF8000000000001),
+        _float_of_bits(0xFFF8000000000000), math.inf, -math.inf, 5e-324, -2.5e-310,
+        1.0, 0.1 + 0.2, 1 / 3, -7.5, 1e300]
+
+
+@st.composite
+def lattices(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=9))
+    pool = st.sampled_from(POOL)
+    return (np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=float),
+            np.array(draw(st.lists(pool, min_size=m, max_size=m)), dtype=float),
+            np.array(draw(st.lists(pool, min_size=n * m, max_size=n * m)),
+                     dtype=float).reshape(n, m))
+
+
+@given(lattice=lattices(), block=st.integers(min_value=1, max_value=7))
+@settings(max_examples=300)
+def test_lattice_matches_csv_writer_and_json_dumps(lattice, block):
+    """Cells repeat within and across blocks of every size, and blocks split
+    the lattice between rows and, when a row is longer than a block, within
+    rows; each cell keeps the string of its own bits."""
+    rows, cols, cells = lattice
+    columns = {"vartheta_deg": rows[:, None], "phi_deg": cols[None, :], "D": cells,
+               "ok": cells >= 0.5}
+    flat = {"vartheta_deg": np.repeat(rows, cols.size), "phi_deg": np.tile(cols, rows.size),
+            "D": cells.ravel(), "ok": cells.ravel() >= 0.5}
+    original = noisedist.bounds._BLOCK_SIZE
+    noisedist.bounds._BLOCK_SIZE = block
+    try:
+        assert emit(columns, "csv") == reference_csv(flat)
+        meta = {"theta_m_deg": 50.0}
+        assert (emit(columns, "json", meta=meta, rows_key="surface")
+                == reference_json(flat, meta, rows_key="surface"))
+    finally:
+        noisedist.bounds._BLOCK_SIZE = original
+
+
+def test_a_surface_formats_fewer_strings_than_it_has_cells(monkeypatch):
+    """The surface's symmetries repeat its values within a block, and each
+    distinct value of a block is formatted once."""
+    grid = np.arange(0.0, 180.375, 0.75)
+    surface = disturbance_surface(math.radians(37.3), np.radians(grid), np.radians(grid))
+    formatted = []
+    real = noisedist.tables._format
+
+    def counted(values, fmt):
+        strings = real(values, fmt)
+        formatted.append(len(strings))
+        return strings
+
+    monkeypatch.setattr(noisedist.tables, "_format", counted)
+    columns = {"vartheta_deg": grid[:, None], "phi_deg": grid[None, :], "D": surface}
+    text = emit(columns, "csv")
+    monkeypatch.undo()
+    assert text == emit(columns, "csv")
+    assert sum(formatted) < surface.size
+
+
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+# peak bytes traced while a lattice of random cells is written; a row's
+# strings or a block's distinct values fit, the whole lattice's strings (about
+# 60 bytes a cell) do not
+@pytest.mark.parametrize("shape, bound_mb", [((721, 721), 8), ((3, 200_001), 16)],
+                         ids=["square", "long-rows"])
+def test_lattice_peak_is_bounded(shape, bound_mb):
+    n, m = shape
+    columns = {"vartheta_deg": np.linspace(0.0, 180.0, n)[:, None],
+               "phi_deg": np.linspace(0.0, 180.0, m)[None, :],
+               "D": np.random.default_rng(0).random(shape)}
+    tracemalloc.start()
+    try:
+        write_table(_Discard(), columns, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 def test_lattice_accepts_a_1d_column_as_one_value_per_lattice_column():
