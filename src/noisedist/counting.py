@@ -14,10 +14,12 @@ words, each int with its high zero words dropped (0 is the one word 0). That
 is how SeedSequence reads the int list itself, so both give the same state.
 Every (seed, configuration) pair therefore has its own independent stream,
 identical across runs, platforms, and any order of evaluation, whether its
-table is drawn alone or in one pass with every other table of a command.
-The estimate of H(input|out) is the plug-in conditional entropy of the count
-joint n[input, out] / total, in elementwise arithmetic with no BLAS call, so
-it does not depend on the BLAS kernel numpy picks.
+table is drawn alone or in one pass with every other table of a command, so
+the counts are too. The estimate of H(input|out) is the plug-in conditional
+entropy of the count joint n[input, out] / total, in elementwise arithmetic
+with no BLAS call, so it does not depend on the BLAS kernel numpy picks. Its
+logarithms do depend on the SIMD level numpy dispatches to at run time, so
+the estimates can differ in the last bit between CPUs.
 """
 
 from __future__ import annotations
