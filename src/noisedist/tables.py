@@ -70,8 +70,8 @@ def _row_chunks(columns: list, fmt: str):
     from .bounds import _BLOCK_SIZE, _lattice_blocks
 
     # each getter gives, for one lattice block, a list of cell strings per
-    # row of the block; a lattice column of rows that fit in a block is
-    # formatted once, one list shared by every row
+    # row of the block; a (1, m) axis whose rows fit in a block is formatted
+    # once, one list shared by every row
     def cells_of(c):
         if c.shape[1] == 1:
             c = np.broadcast_to(c, (n_rows, 1))
