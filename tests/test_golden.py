@@ -180,10 +180,13 @@ VERIFY_GOLDEN = {
 
 # (trials, max_members, seed) -> SHA-256 of repr(ensemble_boundary_oracle(...)):
 # every field at full precision, the worst ensemble's members included. The
-# trial counts sit at one trial, around 32,768 and at 100,000, and the member
-# counts at 1, 4 and 7.
+# trial counts sit at one trial, on both sides of 16,384 and of 32,768 and at
+# 100,000, and the member counts at 1, 4 and 7.
 ORACLE_GOLDEN = {
     (1, 4, 0): "d46b72595f46f63b01d3c6e8ca348d0564a47ece707a00b894632cae56ef5c8b",
+    (16383, 4, 7): "80726350b97a9531f241ffccf7e6fda781ed91f18808641da11dd624ceea9863",
+    (16384, 4, 8): "d742612487df05b2e004c9ee4a063a79112b84165588f1a341d13e07dbf931cb",
+    (16385, 4, 9): "3c45d31b2e26d7c20dc3ba92d837ef77074ee1b9c6d61c6ddd234b83d5fbcf7e",
     (32767, 4, 1): "22f973c55ecf91f8b4ccbd280970ccae36bb9dfaf65b5e01903bbd1cfcc74858",
     (32768, 4, 2): "b34e0dfcac3e21bcc1a51856281492f7fb3f0883ad322ef1119971580c8e6dbd",
     (32769, 4, 3): "198d0bac7e91716a4dde506611651e484ff9a53c30c72055e8f89e717de9c1be",
