@@ -33,49 +33,13 @@ from .entropy import (
     disturbance_bits,
 )
 from .errors import DomainError, ValidationError
+from .tables import _lattice_blocks, _row_blocks
 
 #: Size caps, checked before anything is allocated: cells of a
 #: correction-target lattice, boundary samples or ensemble-oracle members
 #: (trials x max_members), and ensemble-oracle trials.
 MAX_SURFACE_CELLS = 10_000_000
 MAX_TRIALS = 1_000_000
-
-# Items per block of the row-blocked kernels: boundary samples, lattice cells
-# of the disturbance surface and of the table emitter (see _lattice_blocks),
-# and half the trials of an oracle block. A block pays a fixed cost of small
-# numpy calls: about 60 us for the surface, 160 us for the boundary with its
-# tight_value column and 360 us for the oracle, most of it
-# binary_entropy_inverse and binary_entropy calls; at these sizes that stays
-# under 1% of the commands that use them, and one float64 value per item
-# takes 128 KB.
-_BLOCK_SIZE = 16384
-
-
-def _row_blocks(kernel, out, *rows, block: int = 0):
-    """Set out[i:j] = kernel(*(r[i:j] for r in rows)) for consecutive blocks
-    of at most `block` rows (_BLOCK_SIZE if not given) and return out, a
-    preallocated array. Every result row depends only on the same rows of
-    the inputs, so the blocks write the values of one whole-array call, bit
-    for bit, while only one block's temporaries are alive."""
-    block = block or _BLOCK_SIZE
-    for start in range(0, len(out), block):
-        span = slice(start, start + block)
-        out[span] = kernel(*(r[span] for r in rows))
-    return out
-
-
-def _lattice_blocks(n_rows: int, n_cols: int):
-    """(rows, cols) slice pairs that tile an n_rows x n_cols lattice in
-    row-major order, each block at most _BLOCK_SIZE cells: runs of whole rows
-    while a row fits in a block, else runs of cells of one row."""
-    if n_cols > _BLOCK_SIZE:
-        for i in range(n_rows):
-            for start in range(0, n_cols, _BLOCK_SIZE):
-                yield slice(i, i + 1), slice(start, min(start + _BLOCK_SIZE, n_cols))
-        return
-    step = _BLOCK_SIZE // max(n_cols, 1)
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows)), slice(0, n_cols)
 
 
 def c_ab(a: Observable, b: Observable) -> float:
@@ -479,8 +443,7 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         np.minimum(least_sum, np.min(n_star + d_star), out=least_sum)
         return d_star - _boundary_disturbance_of_g(g_n)
 
-    distances = _row_blocks(trial_rows, np.empty(trials), sizes, gamma, normals, uniform,
-                            block=2 * _BLOCK_SIZE)
+    distances = _row_blocks(trial_rows, np.empty(trials), sizes, gamma, normals, uniform)
     weights, bloch = gamma, normals
     single = sizes == 1
     worst = int(np.argmin(distances))

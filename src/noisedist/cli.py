@@ -24,7 +24,6 @@ from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, polar_observable
 from .bounds import (
     MAX_SURFACE_CELLS,
     MAX_TRIALS,
-    _row_blocks,
     boundary_curve,
     check_bounds,
     correction_grid_search,
@@ -47,7 +46,7 @@ from .entropy import (
     theory_noise,
 )
 from .errors import NoiseDistError, ValidationError
-from .tables import write_table
+from .tables import _row_blocks, write_table
 
 if TYPE_CHECKING:  # a valid command line never imports argparse (see main)
     import argparse

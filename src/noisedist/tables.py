@@ -14,15 +14,17 @@ shape (n, 1), one value per lattice row, or (1, m), one value per lattice
 column; such a value is formatted at most once per lattice block, not once
 per cell.
 
-A lattice is formatted in the blocks of bounds._lattice_blocks (at most
-bounds._BLOCK_SIZE cells: whole lattice rows, or runs of one row when a row
-is longer) and written one lattice row, or one such run, at a time. Within a
-block, float64 cells are formatted once per distinct bit pattern and the
-strings gathered back into cell order; repr depends on the bits alone, so
-the bytes are those of formatting every cell, while only one block's
-strings are held. A correction surface repeats its values often (it depends
-on the target only through sin vartheta sin phi), so this formats a fraction
-of its cells.
+This module also owns the row blocking of every bounded kernel: the
+correction surface, the boundary and the ensemble oracle evaluate in the
+blocks of _row_blocks and _lattice_blocks, at most _BLOCK_SIZE items each.
+A lattice is formatted in the blocks of _lattice_blocks (whole lattice rows,
+or runs of one row when a row is longer) and written one lattice row, or one
+such run, at a time. Within a block, float64 cells are formatted once per
+distinct bit pattern and the strings gathered back into cell order; repr
+depends on the bits alone, so the bytes are those of formatting every cell,
+while only one block's strings are held. A correction surface repeats its
+values often (it depends on the target only through sin vartheta sin phi),
+so this formats a fraction of its cells.
 """
 
 from __future__ import annotations
@@ -34,6 +36,16 @@ import numpy as np
 #: Rows per write of a 1-D table; a lattice is written one lattice row, or
 #: one block-long run of a row, at a time.
 CHUNK_ROWS = 4096
+
+# Items per block of the row-blocked kernels and of the lattice formatter:
+# boundary samples, ensemble-oracle trials, and lattice cells of the
+# disturbance surface and of a written lattice. A block pays a fixed cost of
+# small numpy calls: about 60 us for the surface, 160 us for the boundary
+# with its tight_value column and 360 us for the oracle, most of it
+# binary_entropy_inverse and binary_entropy calls; at these sizes that stays
+# under 1% of the commands that use them, and one float64 value per item
+# takes 128 KB.
+_BLOCK_SIZE = 16384
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -54,6 +66,31 @@ def _format(values, fmt: str) -> list[str]:
     return list(map(json.dumps if fmt == "json" else str, items))
 
 
+def _lattice_blocks(n_rows: int, n_cols: int):
+    """(rows, cols) slice pairs that tile an n_rows x n_cols lattice in
+    row-major order, each block at most _BLOCK_SIZE cells: runs of whole rows
+    while a row fits in a block, else runs of cells of one row."""
+    if n_cols > _BLOCK_SIZE:
+        for i in range(n_rows):
+            for start in range(0, n_cols, _BLOCK_SIZE):
+                yield slice(i, i + 1), slice(start, min(start + _BLOCK_SIZE, n_cols))
+        return
+    step = _BLOCK_SIZE // max(n_cols, 1)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows)), slice(0, n_cols)
+
+
+def _row_blocks(kernel, out, *rows):
+    """Set out[i:j] = kernel(*(r[i:j] for r in rows)) for consecutive blocks
+    of at most _BLOCK_SIZE rows and return out, a preallocated array. Every
+    result row depends only on the same rows of the inputs, so the blocks
+    write the values of one whole-array call, bit for bit, while only one
+    block's temporaries are alive."""
+    for span, _ in _lattice_blocks(len(out), 1):
+        out[span] = kernel(*(r[span] for r in rows))
+    return out
+
+
 def _row_chunks(columns: list, fmt: str):
     """Lists of cell strings, one list per column, chunk by chunk."""
     if all(isinstance(c, list) or c.ndim == 1 for c in columns):
@@ -66,9 +103,6 @@ def _row_chunks(columns: list, fmt: str):
     n_rows, n_cols = np.broadcast_shapes(*(c.shape for c in columns))
     if n_cols == 0:
         return
-    # imported here: bounds imports counting, which imports this module
-    from .bounds import _BLOCK_SIZE, _lattice_blocks
-
     # each getter gives, for one lattice block, a list of cell strings per
     # row of the block; a (1, m) axis whose rows fit in a block is formatted
     # once, one list shared by every row

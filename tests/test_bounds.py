@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import noisedist.bounds
+import noisedist.tables
 from noisedist import (
     SIGMA_Y,
     SIGMA_Z,
@@ -537,7 +538,7 @@ def _traced_peak(fn):
 
 class TestRowBlocks:
     """The surface, the boundary with its tight_value column and the oracle
-    are evaluated in blocks of bounds._BLOCK_SIZE items. Every value is a
+    are evaluated in blocks of tables._BLOCK_SIZE items. Every value is a
     per-cell, per-sample or per-trial computation, so no block size may
     change a bit, and the peaks scale with the results, not the
     temporaries."""
@@ -557,9 +558,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_block_size_changes_no_bit(self, block, monkeypatch, tmp_path):
-        monkeypatch.setattr(noisedist.bounds, "_BLOCK_SIZE", 10**9)
+        monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", 10**9)
         whole = self._outputs(tmp_path)
-        monkeypatch.setattr(noisedist.bounds, "_BLOCK_SIZE", block)
+        monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", block)
         assert self._outputs(tmp_path) == whole
 
     def test_oracle_peak_is_set_by_its_draws(self):
@@ -568,6 +569,15 @@ class TestRowBlocks:
         draws = 8 * trials * (1 + members * 5)
         peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
         assert peak < 2 * draws
+
+    def test_oracle_holds_one_block_of_temporaries(self):
+        # above its draws and its 8-byte distance per trial, the oracle holds
+        # the temporaries of one block of trials: about 6 MB here, against
+        # about 12 MB for blocks of twice the size
+        trials, members = 100_000, 4
+        draws = 8 * trials * (1 + members * 5)
+        peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
+        assert peak - draws - 8 * trials < 8 * 2**20
 
     def test_surface_peak_is_a_small_multiple_of_the_surface(self):
         grid = np.radians(np.arange(0.0, 180.25, 0.5))  # 361 x 361 cells

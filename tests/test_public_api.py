@@ -1,10 +1,16 @@
-"""The public surface of noisedist, and the names the benchmark's span tracer
-(perfbench/tracing.py) patches by name. A name removed from the package must
-be removed from this list on purpose; a name the tracer lists must keep
-resolving, or traced benchmark runs break. tracing.py is only read here."""
+"""The public surface of noisedist, its import graph, and the names the
+benchmark's span tracer (perfbench/tracing.py) patches by name. A name
+removed from the package must be removed from this list on purpose; a name
+the tracer lists must keep resolving, or traced benchmark runs break.
+tracing.py is only read here."""
 
+import ast
+import graphlib
 import importlib
 import types
+from pathlib import Path
+
+import pytest
 
 import noisedist
 from test_tracing import _load_tracing
@@ -51,3 +57,26 @@ def test_every_traced_name_resolves():
     traced |= {f"{layer}.{cls}.{method}" for layer, classes in tracing.METHODS.items()
                for cls, methods in classes.items() for method in methods}
     assert {name for name in traced if not _resolves(name)} <= STALE_TRACED
+
+
+def test_package_imports_form_no_cycle():
+    """Every relative import of the package's modules, at module level or
+    inside a function, is an edge; `from . import x` goes to module x or,
+    for a name of the package, to __init__. A lazy import is fine, a cycle
+    is not."""
+    package = Path(noisedist.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        graph[path.stem] = targets = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    targets.add(node.module.split(".")[0])
+                else:
+                    targets |= {a.name if a.name in modules else "__init__" for a in node.names}
+    assert {"tables", "entropy"} <= graph["counting"]
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail("import cycle: " + " -> ".join(reversed(err.args[1])))

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import noisedist.bounds
 import noisedist.tables
 from noisedist.bounds import disturbance_surface
 from noisedist.tables import write_table
@@ -125,15 +124,15 @@ def test_lattice_matches_csv_writer_and_json_dumps(lattice, block):
                "ok": cells >= 0.5}
     flat = {"vartheta_deg": np.repeat(rows, cols.size), "phi_deg": np.tile(cols, rows.size),
             "D": cells.ravel(), "ok": cells.ravel() >= 0.5}
-    original = noisedist.bounds._BLOCK_SIZE
-    noisedist.bounds._BLOCK_SIZE = block
+    original = noisedist.tables._BLOCK_SIZE
+    noisedist.tables._BLOCK_SIZE = block
     try:
         assert emit(columns, "csv") == reference_csv(flat)
         meta = {"theta_m_deg": 50.0}
         assert (emit(columns, "json", meta=meta, rows_key="surface")
                 == reference_json(flat, meta, rows_key="surface"))
     finally:
-        noisedist.bounds._BLOCK_SIZE = original
+        noisedist.tables._BLOCK_SIZE = original
 
 
 def test_a_surface_formats_fewer_strings_than_it_has_cells(monkeypatch):
