@@ -494,17 +494,13 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     compare the entropy sum H(sigma_z) + H(sigma_y) against the boundary's
     N + D (the sweep covers all such states up to the h(x) = h(-x) symmetry).
     At most MAX_SURFACE_CELLS samples."""
-    if not _is_integer(samples) or samples < 2:
-        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
-    if samples > MAX_SURFACE_CELLS:
-        raise ValidationError(f"samples must be at most {MAX_SURFACE_CELLS}, got {samples!r}")
-    thetas = np.linspace(0.0, math.pi / 2, int(samples))
+    curve = boundary_curve(samples)
+    thetas = curve.theta
     # PureState.from_angles(t, pi/2).direction, without building the states
     r_z = np.array([math.cos(t) for t in thetas.tolist()])
     r_y = np.array([math.sin(t) for t in thetas.tolist()]) * math.sin(math.pi / 2)
     # ensemble_point of the single member (1, state), for all states at once
     sums = binary_entropy(r_z) + binary_entropy(r_y)
-    curve = boundary_curve(int(samples))
     boundary_sums = curve.noise + curve.disturbance
     argmin = int(np.argmin(sums))
     return MaassenUffinkReport(
