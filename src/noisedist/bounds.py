@@ -429,11 +429,14 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         n_star = (weights * h_z).sum(axis=1)
         d_star = (weights * h_y).sum(axis=1)
 
+        # the pure state that keeps r_y, with its r_y taken back from its r_z,
+        # so the disturbance shift measures how well the projection keeps r_y
         ry = bloch[..., 1]
         rz_proj = np.where(bloch[..., 2] >= 0.0, 1.0, -1.0) * np.sqrt(np.clip(1.0 - ry * ry, 0.0, None))
+        ry_proj = np.copysign(np.sqrt(np.clip(1.0 - rz_proj * rz_proj, 0.0, None)), ry)
         h_z_proj = binary_entropy(rz_proj)
         n_proj = (weights * h_z_proj).sum(axis=1)
-        d_proj = (weights * binary_entropy(ry)).sum(axis=1)
+        d_proj = (weights * binary_entropy(ry_proj)).sum(axis=1)
 
         # one inverse call serves both the tight excess and the boundary distance
         g_n, g_d = _inverse_pair(n_star, d_star)

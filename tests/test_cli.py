@@ -442,17 +442,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS  entropy-roundtrip    max|g(h(x))-x|=3.490e-10 over" in out
 
-    def test_entropy_sum_below_one_fails_the_oracle(self, monkeypatch, capsys):
+    # each gated oracle report field, at a value just outside its gate
+    OUT_OF_RANGE = {"min_single_member_distance": -1e-8, "max_member_noise_increase": 1e-9,
+                    "max_projection_disturbance_shift": 1e-9, "min_entropy_sum": 1.0 - 1e-9}
+
+    @pytest.mark.parametrize("field", OUT_OF_RANGE)
+    def test_a_gated_field_out_of_range_fails_the_oracle(self, field, monkeypatch, capsys):
         real = noisedist.cli.ensemble_boundary_oracle
 
-        def below(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), min_entropy_sum=1.0 - 1e-9)
+        def broken(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), **{field: self.OUT_OF_RANGE[field]})
 
-        monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", below)
+        monkeypatch.setattr(noisedist.cli, "ensemble_boundary_oracle", broken)
         assert main(["verify", "--trials", "500", "--shots", "20000"]) == 1
         captured = capsys.readouterr()
         assert "FAIL  ensemble-oracle" in captured.out
-        assert "min N*+D* = 1.0000 bits" in captured.err
+        if field == "min_entropy_sum":
+            assert "min N*+D* = 1.0000 bits" in captured.err
 
     def test_unconverged_inverse_fails_roundtrip(self, monkeypatch, capsys):
         monkeypatch.setattr(noisedist.entropy, "_NEWTON_STEPS", 2)

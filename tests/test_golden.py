@@ -184,15 +184,15 @@ VERIFY_GOLDEN = {
 # 100,000, and the member counts at 1, 4 and 7.
 ORACLE_GOLDEN = {
     (1, 4, 0): "d46b72595f46f63b01d3c6e8ca348d0564a47ece707a00b894632cae56ef5c8b",
-    (16383, 4, 7): "80726350b97a9531f241ffccf7e6fda781ed91f18808641da11dd624ceea9863",
-    (16384, 4, 8): "d742612487df05b2e004c9ee4a063a79112b84165588f1a341d13e07dbf931cb",
-    (16385, 4, 9): "3c45d31b2e26d7c20dc3ba92d837ef77074ee1b9c6d61c6ddd234b83d5fbcf7e",
-    (32767, 4, 1): "22f973c55ecf91f8b4ccbd280970ccae36bb9dfaf65b5e01903bbd1cfcc74858",
-    (32768, 4, 2): "b34e0dfcac3e21bcc1a51856281492f7fb3f0883ad322ef1119971580c8e6dbd",
-    (32769, 4, 3): "198d0bac7e91716a4dde506611651e484ff9a53c30c72055e8f89e717de9c1be",
-    (100_000, 4, 0): "c797a5143bc88f6647645b3ea14e77739b02a1e7446a70ef52ac048719d9cb46",
-    (20_000, 1, 5): "a9de6be151100784e73a35dbe8295a92f43106dc7e8249af778e3a25e90eea32",
-    (20_000, 7, 6): "be038d14a2717b921bde8c404f2c3aafef3e4e1d5992bd4de43781c21052aac9",
+    (16383, 4, 7): "723a6e9038d80ff97666b5b9d19873718b62cd3c3c1db7c961cffb70a1182c6c",
+    (16384, 4, 8): "64be41b7fdfae36295ccd12db1299195e08c3326982457535ef9ef76a6a37cba",
+    (16385, 4, 9): "717af7833d16132af37c382fdb3726934d1887d27dfb8f07db3359bc2f66ff33",
+    (32767, 4, 1): "00dc1d0848dd97f2697d18749adae9c5ba2610b695a3ad6dc84442929697aa15",
+    (32768, 4, 2): "4d37323da73e8bcc120b01765191d173f0a22c9758d5805eb654b2dc8905c9cb",
+    (32769, 4, 3): "5ec1d1b526ab6f7a917a5e25ee7641fc7c59aed51c1e0d14943cae10a10f6eb3",
+    (100_000, 4, 0): "aa2aecc774a125aa30dfc83274960844f06987890dadb35d72071ea535c71b2b",
+    (20_000, 1, 5): "185a12013a70ed4d99783d7b0f26ee3c4acb0bd5aa908c792b1062d5307291cd",
+    (20_000, 7, 6): "0a425b4a0c8044eed1ab5595c8c23f7a6a9dfea2ab7745b8a85216fdf91faeb7",
 }
 
 
