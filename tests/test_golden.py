@@ -158,6 +158,16 @@ GOLDEN = {
         ["boundary", "--samples", "100001"],
         "a973903fca1e75b44640fb585a29de84c49739a6775b5ba779feed42794b849e",
     ),
+    # b.m = 0: one distinct value, D = 1 bit, on every cell
+    "correct-search-one-value-csv": (
+        ["correct-search", "--theta-m", "0", "--grid", "1.5"],
+        "53381ed923508e45fae9f1a56c1dc7cbe45d38c1e7253403fab409a3d2475beb",
+    ),
+    # b.m = 1: the surface runs from 1 bit down to 0 at (90, 90)
+    "correct-search-aligned-json": (
+        ["correct-search", "--theta-m", "90", "--grid", "1.5,2", "--format", "json"],
+        "d41577b4f6edbae2890f34668992456f7e1d1ca6db99f6337567d6dc418dc420",
+    ),
 }
 
 # (argv, exit code, SHA-256 of stdout) of the verify battery; the second is
