@@ -33,7 +33,7 @@ from .entropy import (
     disturbance_bits,
 )
 from .errors import DomainError, ValidationError
-from .tables import _lattice_blocks, _row_blocks
+from .tables import _lattice_blocks, _per_distinct, _row_blocks
 
 #: Size caps, checked before anything is allocated: cells of a
 #: correction-target lattice, boundary samples or ensemble-oracle members
@@ -73,13 +73,22 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
 
     The instrument measures along (0, sin theta_m, cos theta_m); outcome +1
     is re-prepared as psi(vartheta, phi), outcome -1 as its antipode. Returns
-    the H(B|B') surface with shape (len(varthetas), len(phis)): one
-    disturbance_bits call over the target overlaps of each lattice block (see
-    _lattice_blocks). More than MAX_SURFACE_CELLS cells raise ValidationError.
+    the H(B|B') surface with shape (len(varthetas), len(phis)), evaluated in
+    the blocks of _lattice_blocks. The surface depends on the target only
+    through its overlap with b, and a lattice repeats overlaps often, so each
+    block makes one disturbance_bits call over the overlaps that no earlier
+    block of the lattice evaluated (see tables._per_distinct; the memo of
+    evaluated overlaps lives for this call and holds one block's worth); the
+    kernel is elementwise, so the values are those of evaluating every cell.
+    Scalar axes count as one value; axes of more than one dimension, or more
+    than MAX_SURFACE_CELLS cells, raise ValidationError.
     """
     m = polar_observable(theta_m)
-    vt = np.asarray(varthetas, dtype=float)
-    ph = np.asarray(phis, dtype=float)
+    vt = np.atleast_1d(np.asarray(varthetas, dtype=float))
+    ph = np.atleast_1d(np.asarray(phis, dtype=float))
+    if vt.ndim != 1 or ph.ndim != 1:
+        raise ValidationError(
+            f"vartheta and phi axes must be 1-D, got shapes {vt.shape} and {ph.shape}")
     if vt.size * ph.size > MAX_SURFACE_CELLS:
         raise ValidationError(
             f"lattice of {vt.size} x {ph.size} cells exceeds {MAX_SURFACE_CELLS} cells")
@@ -87,12 +96,16 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     bx, by, bz = b.axis.as_tuple()
     cos_ph, sin_ph = np.cos(ph), np.sin(ph)
 
+    def bits_of(overlap):
+        return disturbance_bits(b_m, _eigen_pair(overlap))
+
+    memo = []  # the disturbance of each overlap seen, for the blocks that follow
     out = np.empty((vt.size, ph.size))
     for rows, cols in _lattice_blocks(vt.size, ph.size):
         v = vt[rows, None]
         # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
         overlap = np.sin(v) * cos_ph[cols] * bx + np.sin(v) * sin_ph[cols] * by + np.cos(v) * bz
-        out[rows, cols] = disturbance_bits(b_m, _eigen_pair(overlap))
+        out[rows, cols] = _per_distinct(bits_of, overlap, memo)
     return out
 
 

@@ -19,17 +19,20 @@ correction surface, the boundary and the ensemble oracle evaluate in the
 blocks of _row_blocks and _lattice_blocks, at most _BLOCK_SIZE items each.
 A lattice is formatted in the blocks of _lattice_blocks (whole lattice rows,
 or runs of one row when a row is longer) and written one lattice row, or one
-such run, at a time. Within a block, float64 cells are formatted once per
-distinct bit pattern and the strings gathered back into cell order; repr
-depends on the bits alone, so the bytes are those of formatting every cell,
-while only one block's strings are held. A correction surface repeats its
+such run, at a time. _per_distinct evaluates an elementwise function of
+float64 cells once per distinct bit pattern of a block and gathers the
+results back into cell order, with a memo that carries results over to the
+later blocks of the same lattice. The memo lives for one call of its caller
+(one lattice column of one write_table call, one disturbance_surface call)
+and holds at most _BLOCK_SIZE values; once full it stops growing and still
+answers for what it holds. repr and the surface kernel depend on a cell's
+bits alone, so the bytes are those of evaluating every cell, while only a
+block's results and the memo are held. A correction surface repeats its
 values often (it depends on the target only through sin vartheta sin phi),
-so this formats a fraction of its cells.
+so a lattice evaluates and formats a fraction of its cells.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -63,7 +66,10 @@ def _format(values, fmt: str) -> list[str]:
         return ["true" if v else "false" for v in items]
     if kind is int:
         return list(map(int.__repr__, items))
-    return list(map(json.dumps if fmt == "json" else str, items))
+    if fmt != "json":
+        return list(map(str, items))
+    import json  # only JSON output needs it; a CSV command never loads it
+    return list(map(json.dumps, items))
 
 
 def _lattice_blocks(n_rows: int, n_cols: int):
@@ -103,6 +109,10 @@ def _row_chunks(columns: list, fmt: str):
     n_rows, n_cols = np.broadcast_shapes(*(c.shape for c in columns))
     if n_cols == 0:
         return
+
+    def strings_of(values):
+        return np.array(_format(values, fmt), dtype=object)
+
     # each getter gives, for one lattice block, a list of cell strings per
     # row of the block; a (1, m) axis whose rows fit in a block is formatted
     # once, one list shared by every row
@@ -117,10 +127,13 @@ def _row_chunks(columns: list, fmt: str):
             strings = _format(c, fmt)
             return lambda rows, cols: [strings] * (rows.stop - rows.start)
 
+        memo = []  # this column's strings, reused by the blocks that follow
+
         def block_cells(rows, cols):
-            cells = _format_block(c[rows, cols], fmt)
-            width = cols.stop - cols.start
-            return [cells[k:k + width] for k in range(0, len(cells), width)]
+            block = c[rows, cols]
+            if block.dtype == np.float64:
+                return _per_distinct(strings_of, block, memo).tolist()
+            return np.array(_format(block, fmt), dtype=object).reshape(block.shape).tolist()
         return block_cells
 
     getters = [cells_of(np.atleast_2d(c)) for c in columns]
@@ -128,19 +141,40 @@ def _row_chunks(columns: list, fmt: str):
         yield from zip(*[get(rows, cols) for get in getters])
 
 
-def _format_block(cells: np.ndarray, fmt: str) -> list[str]:
-    """The strings of a 2-D block of lattice cells, in row-major order.
+def _per_distinct(fn, values, memo: list) -> np.ndarray:
+    """fn(values) in the shape of `values`, for an fn that maps a 1-D float64
+    array to an array of one result per element, each depending on that
+    element's bits alone.
 
-    Float64 cells are formatted once per distinct bit pattern, so 0.0 and
-    -0.0 and NaNs of different payloads each keep their own string; since
-    repr depends on the bits alone, the strings are those of formatting every
-    cell."""
-    if cells.dtype != np.float64:
-        return _format(cells, fmt)
-    bits = np.ascontiguousarray(cells).view(np.int64).ravel()
+    fn is called once, on the distinct bit patterns of `values` that `memo`
+    does not hold; so 0.0 and -0.0, and NaNs of different payloads, each get
+    their own result, and the results are those of fn on every element. memo
+    is a list, empty before the first block of a lattice, that keeps the
+    sorted bit patterns seen so far and their results for the blocks that
+    follow. It holds at most _BLOCK_SIZE of them: once full it stops growing
+    and still answers for what it holds.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
-    strings = np.array(_format(distinct.view(np.float64), fmt), dtype=object)
-    return strings[inverse].tolist()
+    if not memo:
+        out = fn(distinct.view(np.float64))
+        if distinct.size:
+            memo[:] = [distinct[:_BLOCK_SIZE], out[:_BLOCK_SIZE]]
+        return out[inverse].reshape(np.shape(values))
+    known, results = memo
+    at = np.minimum(np.searchsorted(known, distinct), known.size - 1)
+    new = known[at] != distinct
+    out = results[at]
+    if new.any():
+        keys = distinct[new]
+        fresh = fn(keys.view(np.float64))
+        out[new] = fresh
+        room = _BLOCK_SIZE - known.size
+        if room > 0:
+            where = np.searchsorted(known, keys[:room])
+            memo[:] = [np.insert(known, where, keys[:room]),
+                       np.insert(results, where, fresh[:room])]
+    return out[inverse].reshape(np.shape(values))
 
 
 def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
@@ -163,6 +197,7 @@ def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
         return
     if fmt != "json":
         raise ValueError(f"unknown table format {fmt!r}")
+    import json  # only JSON output needs it; a CSV command never loads it
 
     order = sorted(range(len(names)), key=names.__getitem__)
     # one row object, at the nesting depth of a top-level list's items

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import noisedist.bounds
+import noisedist.entropy
 import noisedist.tables
 from noisedist import (
     SIGMA_Y,
@@ -562,6 +563,30 @@ class TestRowBlocks:
         whole = self._outputs(tmp_path)
         monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", block)
         assert self._outputs(tmp_path) == whole
+
+    def test_surface_evaluates_at_most_its_distinct_overlaps(self, monkeypatch):
+        """The 0.75 degree lattice at theta_m = 37.3 degrees has 58,081 cells
+        but far fewer distinct target overlaps sin(vartheta) sin(phi); the
+        kernel evaluates no more cells than that, and its values are bit for
+        bit those of one call over every cell."""
+        grid = np.radians(np.arange(0.0, 180.375, 0.75))
+        theta_m = math.radians(37.3)
+        evaluated = []
+        kernel = noisedist.bounds.disturbance_bits
+
+        def counted(b_m, target_b):
+            evaluated.append(np.size(target_b) // 2)
+            return kernel(b_m, target_b)
+
+        monkeypatch.setattr(noisedist.bounds, "disturbance_bits", counted)
+        surface = disturbance_surface(theta_m, grid, grid)
+        monkeypatch.undo()
+        overlaps = np.sin(grid)[:, None] * np.sin(grid)[None, :]
+        distinct = np.unique(overlaps.view(np.int64)).size
+        assert sum(evaluated) <= distinct < surface.size // 3
+        b_m = SIGMA_Y.axis.dot(polar_observable(theta_m).axis)
+        whole = kernel(b_m, noisedist.entropy._eigen_pair(overlaps))
+        assert surface.tobytes() == whole.tobytes()
 
     def test_oracle_peak_is_set_by_its_draws(self):
         trials, members = 100_000, 4

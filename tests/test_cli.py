@@ -767,6 +767,26 @@ def test_valid_command_does_not_import_argparse():
     assert proc.stdout.count(SWEEP_CSV_HEADER) == 2
 
 
+def test_csv_commands_do_not_import_json():
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from noisedist.cli import main\n"
+        "assert main(['sweep', '--theta', '10,50']) == 0\n"
+        "assert main(['correct-search', '--grid', '30']) == 0\n"
+        "assert 'json' not in sys.modules\n"
+        "assert main(['sweep', '--theta', '10,50', '--format', 'json']) == 0\n"
+        "assert 'json' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(SWEEP_CSV_HEADER) == 1
+    assert proc.stdout.count('"rows": [') == 1
+
+
 #: Values per option that keep each command to milliseconds (small shots,
 #: trials and samples, coarse grids), with malformed and out-of-range ones.
 #: "{tmp}" stands for a scratch directory.

@@ -162,6 +162,36 @@ def test_ensemble_boundary_oracle_is_finite_or_raises(trials, max_members, seed)
     assert (math.isnan(single) and max_members > 1) or _finite_in_range([single], -1e-9, 1.0)
 
 
+# Lattice axes are 1-D; a scalar axis counts as one value, and both functions
+# apply the same rule. Shapes of more than one dimension raise
+# ValidationError, not numpy's broadcasting ValueError or an IndexError.
+NOT_1D_AXES = {
+    "varthetas-2d": ([[0.1, 0.2]], [0.3]),
+    "phis-2d": ([0.1], [[0.2, 0.3]]),
+    "both-2d": ([[0.1], [0.2]], [[0.3]]),
+    "varthetas-3d": (np.zeros((1, 1, 1)), [0.3]),
+}
+
+
+@pytest.mark.parametrize("func", [
+    lambda vt, ph: disturbance_surface(0.5, vt, ph),
+    lambda vt, ph: correction_grid_search(0.5, SIGMA_Y, vt, ph),
+], ids=["disturbance_surface", "correction_grid_search"])
+@pytest.mark.parametrize("name", sorted(NOT_1D_AXES))
+def test_lattice_axes_of_more_than_one_dimension_raise(func, name):
+    with pytest.raises(ValidationError, match="1-D"):
+        func(*NOT_1D_AXES[name])
+
+
+def test_scalar_lattice_axes_count_as_one_value():
+    surface = disturbance_surface(0.5, 0.1, 0.2)
+    assert surface.shape == (1, 1)
+    result = correction_grid_search(0.5, SIGMA_Y, 0.1, 0.2)
+    assert result.surface.tobytes() == surface.tobytes()
+    assert (result.best_vartheta, result.best_phi, result.d_min) == (0.1, 0.2, surface[0, 0])
+    assert surface.tobytes() == disturbance_surface(0.5, [0.1], [0.2]).tobytes()
+
+
 # Sizes are capped before anything is allocated: a request above the cap
 # raises ValidationError, not numpy's MemoryError, and allocates next to
 # nothing first. The arguments are built outside the traced span.

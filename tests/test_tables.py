@@ -156,6 +156,77 @@ def test_a_surface_formats_fewer_strings_than_it_has_cells(monkeypatch):
     assert sum(formatted) < surface.size
 
 
+def test_a_surface_formats_each_distinct_value_once(monkeypatch):
+    """A lattice column carries its strings from block to block, so the
+    0.75 degree surface (58,081 cells in four blocks) formats each distinct D
+    once, and its axes one string per axis value."""
+    grid = np.arange(0.0, 180.375, 0.75)
+    surface = disturbance_surface(math.radians(37.3), np.radians(grid), np.radians(grid))
+    formatted = []
+    real = noisedist.tables._format
+
+    def counted(values, fmt):
+        strings = real(values, fmt)
+        formatted.append(len(strings))
+        return strings
+
+    monkeypatch.setattr(noisedist.tables, "_format", counted)
+    columns = {"vartheta_deg": grid[:, None], "phi_deg": grid[None, :], "D": surface}
+    text = emit(columns, "csv")
+    monkeypatch.undo()
+    assert text == emit(columns, "csv")
+    distinct = np.unique(surface.view(np.int64)).size
+    assert sum(formatted) <= distinct + 2 * grid.size
+
+
+@st.composite
+def blocks(draw):
+    pool = st.sampled_from(POOL)
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=6))
+    return [np.array(draw(st.lists(pool, min_size=n * m, max_size=n * m)),
+                     dtype=float).reshape(n, m) for n, m in shapes]
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@given(lattice=blocks(), block=st.integers(min_value=1, max_value=7))
+@settings(max_examples=300)
+def test_per_distinct_equals_fn_on_every_cell(lattice, block):
+    """Blocks of one lattice share a memo of at most _BLOCK_SIZE values,
+    patched small so that it hits, fills and stops growing; every result is
+    fn of its own cell, bit for bit, and fn never sees a value the memo holds."""
+    original = noisedist.tables._BLOCK_SIZE
+    noisedist.tables._BLOCK_SIZE = block
+    try:
+        for fn, same in [
+            (lambda v: v.view(np.int64) ^ 0x5A5A, lambda a, b: np.array_equal(a, b)),
+            (lambda v: -v, lambda a, b: _bits(a).tobytes() == _bits(b).tobytes()),
+            (lambda v: np.array(list(map(float.__repr__, v.tolist())), dtype=object),
+             lambda a, b: a.tolist() == b.tolist()),
+        ]:
+            memo, seen = [], []
+
+            def watched(values):
+                held = set(memo[0].tolist()) if memo else set()
+                assert held.isdisjoint(_bits(values).tolist())
+                seen.append(values.size)
+                return fn(values)
+
+            for cells in lattice:
+                out = noisedist.tables._per_distinct(watched, cells, memo)
+                assert out.shape == cells.shape
+                assert same(out, fn(cells.ravel()).reshape(cells.shape))
+                if memo:
+                    keys = memo[0]
+                    assert keys.size == memo[1].size <= block
+                    assert np.all(keys[1:] > keys[:-1])
+            assert sum(seen) <= sum(cells.size for cells in lattice)
+    finally:
+        noisedist.tables._BLOCK_SIZE = original
+
+
 class _Discard:
     def write(self, text):
         return len(text)
