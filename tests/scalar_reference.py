@@ -20,6 +20,10 @@ tests compare them with ==.
 For the ensemble oracle: the member-by-member pure-state projection behind
 its projection fields.
 
+For the binary entropy: the two masked np.where terms that binary_entropy
+evaluated before both terms shared one buffer. The array form must give the
+same bits, so tests compare int64 views of the two.
+
 For the serializers: the counts of an intensity table read back from its
 JSON text.
 
@@ -34,8 +38,16 @@ import struct
 
 import numpy as np
 
-from noisedist import SIGMA_Y, SIGMA_Z, BlochVector, EnsembleMember, ProjectiveInstrument
+from noisedist import (
+    SIGMA_Y,
+    SIGMA_Z,
+    BlochVector,
+    DomainError,
+    EnsembleMember,
+    ProjectiveInstrument,
+)
 from noisedist.bloch import OUTCOMES
+from noisedist.entropy import DOMAIN_ATOL
 
 
 def scalar_born(state, obs, outcome):
@@ -55,6 +67,24 @@ def cond_entropy_given_last(p):
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, -p * np.log2(safe_p / safe_m), 0.0)
     return terms.sum(axis=(-2, -1))
+
+
+def _neg_p_log2_p(p):
+    """-p log2 p elementwise with the 0 log 0 = 0 convention."""
+    safe = np.where(p > 0.0, p, 1.0)
+    return np.where(p > 0.0, -p * np.log2(safe), 0.0)
+
+
+def binary_entropy(x):
+    """h(x) = -(1+x)/2 log2((1+x)/2) - (1-x)/2 log2((1-x)/2) in bits, one
+    masked term per probability; |x| <= 1 up to DOMAIN_ATOL, else (NaN
+    included) DomainError."""
+    arr = np.asarray(x, dtype=float)
+    if np.any(~(np.abs(arr) <= 1.0 + DOMAIN_ATOL)):
+        raise DomainError("binary_entropy argument must satisfy |x| <= 1")
+    arr = np.clip(arr, -1.0, 1.0)
+    out = _neg_p_log2_p((1.0 + arr) / 2.0) + _neg_p_log2_p((1.0 - arr) / 2.0)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def scalar_joint(state, inst, second):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from noisedist import (
     SIGMA_Y,
@@ -35,6 +36,7 @@ from noisedist import (
 )
 from noisedist.bloch import OUTCOMES, born
 from noisedist.entropy import DOMAIN_ATOL, _cond_entropy_given_last
+from scalar_reference import binary_entropy as reference_binary_entropy
 from scalar_reference import (
     cond_entropy_given_last,
     scalar_disturbance,
@@ -101,6 +103,76 @@ class TestBinaryEntropy:
         hx = binary_entropy(x)
         assert 0.0 <= hx <= 1.0
         assert abs(hx - binary_entropy(-x)) <= 1e-15
+
+
+# the edges of binary_entropy's domain: signed zeros and ends, the doubles
+# next to the ends, subnormals and the slack past the ends
+ENTROPY_EDGES = [0.0, -0.0, 1.0, -1.0, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 5e-324, -5e-324,
+                 2.2250738585072009e-308, -2.2250738585072009e-308,
+                 1.0 + DOMAIN_ATOL, -1.0 - DOMAIN_ATOL]
+# what binary_entropy must reject
+ENTROPY_OUTSIDE = [math.nan, math.inf, -math.inf, 1.0 + 1e-11, -1.0 - 1e-11]
+
+
+def entropy_grid():
+    """About 600k arguments of binary_entropy: uniform on [-1, 1], log-spaced
+    towards 0 and towards both ends, and the edges, in an odd count so that
+    every SIMD loop has a tail."""
+    toward_zero = np.logspace(-320.0, 0.0, 100_001)
+    toward_end = 1.0 - np.logspace(-17.0, 0.0, 100_001)
+    uniform = np.random.default_rng(19).uniform(-1.0, 1.0, 100_001)
+    half = np.concatenate([toward_zero, toward_end, uniform, ENTROPY_EDGES])
+    return np.concatenate([half, -half, [0.5]])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestBinaryEntropyReference:
+    """binary_entropy gives the bits of the two-term formula in
+    scalar_reference, and rejects what it rejects."""
+
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+                  elements=st.one_of(st.floats(-1.0 - DOMAIN_ATOL, 1.0 + DOMAIN_ATOL),
+                                     st.sampled_from(ENTROPY_EDGES))))
+    @example(np.array(ENTROPY_EDGES))
+    @example(np.array(ENTROPY_EDGES).reshape(3, 4))
+    @example(np.empty(0))
+    @example(np.empty((2, 0)))
+    @example(np.array(-0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_reference(self, x):
+        new, ref = binary_entropy(x), reference_binary_entropy(x)
+        assert type(new) is type(ref)
+        assert np.shape(new) == np.shape(ref)
+        assert np.array_equal(_bits(new), _bits(ref))
+
+    @given(st.one_of(st.floats(-1.0 - DOMAIN_ATOL, 1.0 + DOMAIN_ATOL),
+                     st.sampled_from(ENTROPY_EDGES)))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_for_python_floats(self, x):
+        new, ref = binary_entropy(x), reference_binary_entropy(x)
+        assert type(new) is float and type(ref) is float
+        assert _bits(new) == _bits(ref)
+
+    def test_same_bits_on_a_dense_grid(self):
+        x = entropy_grid()
+        assert np.array_equal(_bits(binary_entropy(x)), _bits(reference_binary_entropy(x)))
+        x = x[1:].reshape(-1, 5)
+        assert np.array_equal(_bits(binary_entropy(x)), _bits(reference_binary_entropy(x)))
+
+    @pytest.mark.parametrize("bad", ENTROPY_OUTSIDE, ids=repr)
+    @pytest.mark.parametrize("shape", ["scalar", "0-d", "1-D", "2-D"])
+    def test_same_domain_error(self, bad, shape):
+        x = {"scalar": bad, "0-d": np.array(bad), "1-D": np.array([0.5, bad, -1.0]),
+             "2-D": np.array([[0.0, 0.25], [bad, 1.0]])}[shape]
+        messages = []
+        for fn in (binary_entropy, reference_binary_entropy):
+            with pytest.raises(DomainError) as info:
+                fn(x)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestEntropyInverse:

@@ -191,7 +191,8 @@ VERIFY_GOLDEN = {
 # (trials, max_members, seed) -> SHA-256 of repr(ensemble_boundary_oracle(...)):
 # every field at full precision, the worst ensemble's members included. The
 # trial counts sit at one trial, on both sides of 16,384 and of 32,768 and at
-# 100,000, and the member counts at 1, 4 and 7.
+# 100,000, and the member counts at 1, 4, 7, 8 and 13: below 8 members numpy
+# sums a member row left to right, from 8 on pairwise.
 ORACLE_GOLDEN = {
     (1, 4, 0): "d46b72595f46f63b01d3c6e8ca348d0564a47ece707a00b894632cae56ef5c8b",
     (16383, 4, 7): "723a6e9038d80ff97666b5b9d19873718b62cd3c3c1db7c961cffb70a1182c6c",
@@ -203,6 +204,8 @@ ORACLE_GOLDEN = {
     (100_000, 4, 0): "aa2aecc774a125aa30dfc83274960844f06987890dadb35d72071ea535c71b2b",
     (20_000, 1, 5): "185a12013a70ed4d99783d7b0f26ee3c4acb0bd5aa908c792b1062d5307291cd",
     (20_000, 7, 6): "0a425b4a0c8044eed1ab5595c8c23f7a6a9dfea2ab7745b8a85216fdf91faeb7",
+    (5_000, 8, 3): "179baf6a3396b134694216365b85f35d001ea37892c865462db82b187a8adcb3",
+    (2_000, 13, 4): "28e0b3740ae4b93ace3f354e9cb55868ead4af6c4df8d160cc2c799d78505d6e",
 }
 
 
