@@ -27,24 +27,33 @@ _NEWTON_STEPS = 6
 _LN2 = float(np.log(2.0))
 
 
-def _neg_p_log2_p(p):
-    """-p log2 p elementwise with the 0 log 0 = 0 convention."""
-    safe = np.where(p > 0.0, p, 1.0)
-    return np.where(p > 0.0, -p * np.log2(safe), 0.0)
-
-
 def binary_entropy(x):
     """h(x) = -(1+x)/2 log2((1+x)/2) - (1-x)/2 log2((1-x)/2), in bits.
 
     x is the bias of a +1/-1 variable, so h(0) = 1, h(+-1) = 0 and
     h(-x) = h(x). Accepts scalars or arrays; |x| <= 1 up to 1e-12 slack.
+    Both probabilities share one (2, ...) buffer and the log is masked to
+    p > 0, so 0 log 0 = 0; h is then 0 - sum(p log2 p), which is +0.0 at
+    x = +-1.
     """
     arr = np.asarray(x, dtype=float)
-    # written as a negated in-range test so that NaN fails it too
-    if np.any(~(np.abs(arr) <= 1.0 + DOMAIN_ATOL)):
-        raise DomainError("binary_entropy argument must satisfy |x| <= 1")
-    arr = np.clip(arr, -1.0, 1.0)
-    out = _neg_p_log2_p((1.0 + arr) / 2.0) + _neg_p_log2_p((1.0 - arr) / 2.0)
+    if arr.size:
+        lo, hi = arr.min(), arr.max()
+        # written as a negated in-range test so that NaN, which min and max
+        # propagate, fails it too
+        if not (lo >= -1.0 - DOMAIN_ATOL and hi <= 1.0 + DOMAIN_ATOL):
+            raise DomainError("binary_entropy argument must satisfy |x| <= 1")
+    p = np.empty((2,) + arr.shape)
+    np.add(1.0, arr, out=p[0, ...])
+    np.subtract(1.0, arr, out=p[1, ...])
+    p /= 2.0
+    if arr.size and (lo < -1.0 or hi > 1.0):  # inside the slack: x taken as +-1
+        np.clip(p, 0.0, 1.0, out=p)
+    terms = np.zeros_like(p)
+    np.log2(p, out=terms, where=p > 0.0)
+    terms *= p
+    out = np.add(terms[0, ...], terms[1, ...], out=np.empty(arr.shape))
+    np.subtract(0.0, out, out=out)
     return float(out) if np.ndim(x) == 0 else out
 
 

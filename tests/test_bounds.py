@@ -3,7 +3,11 @@ and the ensemble oracle."""
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from noisedist import (
     tight_value,
     variational_f,
 )
+from noisedist.bounds import _member_sum
 from noisedist.cli import main
 from noisedist.tables import write_table
 from scalar_reference import pure_state_projection, scalar_disturbance
@@ -524,6 +529,69 @@ class TestEnsembleOracle:
         n_p, d_p = ensemble_point(pure_state_projection(members))
         assert n_p - n <= report.max_projection_noise_increase + 1e-15
         assert abs(d_p - d) <= report.max_projection_disturbance_shift + 1e-15
+
+
+def _member_values(rows, members):
+    """Seeded (rows, members) values over ten decades, so that any change in
+    the order of the adds shows; the first row is all -0.0, which numpy sums
+    to +0.0, and the second, if any, holds -0.0 among other values."""
+    rng = np.random.default_rng(rows * 100 + members)
+    values = rng.standard_normal((rows, members)) * 10.0 ** rng.uniform(-5, 5, (rows, members))
+    values[0] = -0.0
+    values[1:2, ::2] = -0.0
+    return values
+
+
+MEMBER_SUM_CASES = [(rows, members) for rows in (1, 7, 16_385) for members in range(1, 21)]
+
+
+def member_sum_mismatches():
+    """The (rows, members) cases of MEMBER_SUM_CASES where _member_sum and
+    .sum(axis=1) differ in any bit."""
+    return [(rows, members) for rows, members in MEMBER_SUM_CASES
+            if not np.array_equal(_member_sum(_member_values(rows, members)).view(np.int64),
+                                  _member_values(rows, members).sum(axis=1).view(np.int64))]
+
+
+class TestMemberSum:
+    def test_same_bits_as_the_row_sum(self):
+        assert member_sum_mismatches() == []
+
+    def test_column_adds_alone_would_differ_from_8_members(self):
+        # the case _member_sum leaves to numpy: there numpy sums pairwise
+        for members in range(8, 21):
+            values = _member_values(16_385, members)
+            columns = values[:, 0].copy()
+            for k in range(1, members):
+                columns += values[:, k]
+            assert not np.array_equal(columns, values.sum(axis=1))
+
+    def test_same_bits_at_the_lower_dispatch_level(self):
+        """binary_entropy against its reference and _member_sum against the
+        row sum, rerun in a child with numpy's AVX512 kernels off: numpy
+        picks its masked log2(where=) loop per SIMD level too. The setting
+        acts on the child alone; on a CPU without those features the child
+        runs at its own level, and a numpy that refuses the setting skips."""
+        tests = Path(__file__).resolve().parent
+        src = str(Path(noisedist.bounds.__file__).resolve().parents[1])
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR,AVX512_ICL,X86_V4")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(tests), env.get("PYTHONPATH")]))
+        script = (
+            "import numpy as np\n"
+            "from noisedist import binary_entropy\n"
+            "from scalar_reference import binary_entropy as reference\n"
+            "from test_bounds import member_sum_mismatches\n"
+            "from test_entropy import entropy_grid\n"
+            "x = entropy_grid()\n"
+            "print(int(np.sum(binary_entropy(x).view(np.int64) != reference(x).view(np.int64))))\n"
+            "print(member_sum_mismatches())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES here")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0", "[]"]
 
 
 def _traced_peak(fn):
