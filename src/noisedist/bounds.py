@@ -68,6 +68,16 @@ def optimal_correction(m_axis, b: Observable) -> CorrectionMap:
     return CorrectionMap(minus, plus)
 
 
+def _float_axes(varthetas, phis):
+    """The vartheta and phi axes as float arrays of at least one dimension;
+    text or ragged sequences raise ValidationError, not numpy's ValueError."""
+    try:
+        return (np.atleast_1d(np.asarray(varthetas, dtype=float)),
+                np.atleast_1d(np.asarray(phis, dtype=float)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"vartheta and phi axes must hold numbers: {exc}") from None
+
+
 def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y) -> np.ndarray:
     """Disturbance of B for every re-preparation target psi(vartheta, phi).
 
@@ -80,12 +90,12 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     block of the lattice evaluated (see tables._per_distinct; the memo of
     evaluated overlaps lives for this call and holds one block's worth); the
     kernel is elementwise, so the values are those of evaluating every cell.
-    Scalar axes count as one value; axes of more than one dimension, or more
-    than MAX_SURFACE_CELLS cells, raise ValidationError.
+    Scalar axes count as one value; axes that are not numbers (text, ragged
+    sequences), of more than one dimension, or of more than
+    MAX_SURFACE_CELLS cells raise ValidationError.
     """
     m = polar_observable(theta_m)
-    vt = np.atleast_1d(np.asarray(varthetas, dtype=float))
-    ph = np.atleast_1d(np.asarray(phis, dtype=float))
+    vt, ph = _float_axes(varthetas, phis)
     if vt.ndim != 1 or ph.ndim != 1:
         raise ValidationError(
             f"vartheta and phi axes must be 1-D, got shapes {vt.shape} and {ph.shape}")
@@ -129,8 +139,7 @@ class GridSearchResult:
 def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> GridSearchResult:
     """Evaluate the disturbance surface on a (vartheta, phi) lattice and
     locate its minimum."""
-    vt = np.atleast_1d(np.asarray(varthetas, dtype=float))
-    ph = np.atleast_1d(np.asarray(phis, dtype=float))
+    vt, ph = _float_axes(varthetas, phis)
     if vt.size == 0 or ph.size == 0:
         raise ValidationError("correction grid must be non-empty")
     surface = disturbance_surface(theta_m, vt, ph, b)

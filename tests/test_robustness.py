@@ -183,6 +183,27 @@ def test_lattice_axes_of_more_than_one_dimension_raise(func, name):
         func(*NOT_1D_AXES[name])
 
 
+# Axes that are not numbers raise ValidationError, not numpy's bare
+# ValueError ("could not convert string to float", "setting an array element
+# with a sequence").
+NON_NUMERIC_AXES = {
+    "varthetas-text": ("abc", [0.1]),
+    "phis-text": ([0.1], "abc"),
+    "varthetas-ragged": ([0.1, [0.2]], [0.1]),
+    "phis-ragged": ([0.1], [0.1, [0.2]]),
+}
+
+
+@pytest.mark.parametrize("func", [
+    lambda vt, ph: disturbance_surface(0.5, vt, ph),
+    lambda vt, ph: correction_grid_search(0.5, SIGMA_Y, vt, ph),
+], ids=["disturbance_surface", "correction_grid_search"])
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC_AXES))
+def test_non_numeric_lattice_axes_raise(func, name):
+    with pytest.raises(ValidationError, match="must hold numbers"):
+        func(*NON_NUMERIC_AXES[name])
+
+
 def test_scalar_lattice_axes_count_as_one_value():
     surface = disturbance_surface(0.5, 0.1, 0.2)
     assert surface.shape == (1, 1)
