@@ -269,10 +269,16 @@ def resolve_out_path(out: str | None) -> Path | None:
 def _output(out: str | None):
     """The output stream: the --out file, or stdout. Enter it only after all
     validation and computation, so a usage error leaves no file behind. A
-    write that fails removes the partial file and raises ValidationError."""
+    write that fails removes the partial file and raises ValidationError.
+    On stdout, a reader that stops early (`| head`) ends the output quietly
+    and the command keeps its exit code (see _drop_stdout)."""
     path = resolve_out_path(out)
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _drop_stdout()
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -287,6 +293,17 @@ def _output(out: str | None):
         if isinstance(exc, OSError):
             raise ValidationError(f"cannot write output path {path}: {exc}") from exc
         raise
+
+
+def _drop_stdout():
+    """Point stdout's descriptor at os.devnull once its reader has gone, so
+    that what is still buffered, and the interpreter's final flush, go
+    nowhere instead of raising BrokenPipeError again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
 
 
 def _parse_target(kind, target_spec):
@@ -604,14 +621,13 @@ def _verify_checks(opt):
 def run_verify(opt) -> int:
     checks = _verify_checks(opt)
     width = max(len(name) for name, _, _ in checks)
-    failures = 0
-    for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status}  {name:<{width}}  {detail}")
+    failures = sum(not ok for _, ok, _ in checks)
     total = len(checks)
-    print(f"verification: {'PASS' if failures == 0 else 'FAIL'} ({total - failures}/{total})")
+    with _output(None) as stream:
+        for name, ok, detail in checks:
+            stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}\n")
+        stream.write(
+            f"verification: {'PASS' if failures == 0 else 'FAIL'} ({total - failures}/{total})\n")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -36,6 +36,7 @@ from noisedist.cli import (
     COMMANDS,
     DEFAULT_THETA_SPEC,
     ENV_OUTDIR,
+    EXIT_VERIFY_FAILED,
     MAX_SURFACE_CELLS,
     MAX_THETA_POINTS,
     MAX_TRIALS,
@@ -855,6 +856,48 @@ def _module_cli(args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "noisedist.cli", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def _closed_reader(args, read_lines):
+    """`python -m noisedist.cli ARGS` with stdout on a pipe whose reader
+    reads `read_lines` lines and then closes it, as `| head` does: (exit
+    code, lines read, stderr)."""
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        with subprocess.Popen([sys.executable, "-m", "noisedist.cli", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            os.close(write_end)
+            lines = [reader.readline() for _ in range(read_lines)]
+            reader.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+    return code, lines, err
+
+
+@pytest.mark.parametrize("args,first_line", [
+    (["correct-search", "--grid", "1"], b"vartheta_deg,phi_deg,D\n"),
+    (["correct-search", "--grid", "1", "--format", "json"], b"{\n"),
+], ids=["csv", "json"])
+def test_reader_that_stops_early_is_not_an_error(args, first_line):
+    # about 1 MB of output, far more than a pipe buffers, so the writes meet
+    # the closed pipe
+    code, lines, err = _closed_reader(args, 1)
+    assert lines == [first_line]
+    assert code == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err.startswith("correct-search: theta_m=50 deg")
+
+
+def test_closed_stdout_keeps_verify_failure_code():
+    # the negative control fails its checks: exit 1 whether or not anyone
+    # reads the report
+    code, lines, err = _closed_reader(
+        ["verify", "--trials", "0", "--seed", "4", "--perturb-disturbance", "0.05"], 0)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == "note: ensemble-oracle section skipped (trials=0)\n"
 
 
 def test_module_entry_point_reads_sys_argv(capsys):
