@@ -460,12 +460,9 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         active = np.arange(max_members)[None, :] < size[:, None]
         weights *= active
         weights /= _member_sum(weights)[:, None]
-        # np.linalg.norm's sum of squares, (x^2 + y^2) + z^2, in column passes
-        squares = bloch * bloch
-        norm = squares[..., 0] + squares[..., 1]
-        norm += squares[..., 2]
-        np.sqrt(norm, out=norm)
-        bloch /= np.maximum(norm, 1e-300)[..., None]
+        # the sum of squares as np.linalg.norm associates it, without its passes
+        x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
+        bloch /= np.maximum(np.sqrt((x * x + y * y) + z * z), 1e-300)[..., None]
         bloch *= (radius_draw ** (1.0 / 3.0))[..., None]
 
         h_z = binary_entropy(bloch[..., 2])
