@@ -43,11 +43,12 @@ CHUNK_ROWS = 4096
 # Items per block of the row-blocked kernels and of the lattice formatter:
 # boundary samples, ensemble-oracle trials, and lattice cells of the
 # disturbance surface and of a written lattice. A block pays a fixed cost of
-# small numpy calls: about 60 us for the surface, 160 us for the boundary
-# with its tight_value column and 360 us for the oracle, most of it
-# binary_entropy_inverse and binary_entropy calls; at these sizes that stays
-# under 1% of the commands that use them, and one float64 value per item
-# takes 128 KB.
+# small numpy calls. The least time of a one-item block, on one core of 2, is
+# about 140 us for the surface, 240 us for the boundary with its tight_value
+# column and 380 us for the oracle, most of it binary_entropy_inverse and
+# binary_entropy calls; a full block takes about 5.3 ms for the surface and
+# 13 ms for the oracle, so the fixed cost is about 3% of it. One float64 value
+# per item takes 128 KB.
 _BLOCK_SIZE = 16384
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
