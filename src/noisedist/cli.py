@@ -271,14 +271,21 @@ def _output(out: str | None):
     validation and computation, so a usage error leaves no file behind. A
     write that fails removes the partial file and raises ValidationError.
     On stdout, a reader that stops early (`| head`) ends the output quietly
-    and the command keeps its exit code (see _drop_stdout)."""
+    and the command keeps its exit code."""
     path = resolve_out_path(out)
     if path is None:
         try:
             yield sys.stdout
             sys.stdout.flush()
         except BrokenPipeError:
-            _drop_stdout()
+            # point stdout's descriptor at os.devnull, so that what is still
+            # buffered, and the interpreter's final flush, go nowhere instead
+            # of raising again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(devnull, sys.stdout.fileno())
+            finally:
+                os.close(devnull)
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -293,17 +300,6 @@ def _output(out: str | None):
         if isinstance(exc, OSError):
             raise ValidationError(f"cannot write output path {path}: {exc}") from exc
         raise
-
-
-def _drop_stdout():
-    """Point stdout's descriptor at os.devnull once its reader has gone, so
-    that what is still buffered, and the interpreter's final flush, go
-    nowhere instead of raising BrokenPipeError again."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, sys.stdout.fileno())
-    finally:
-        os.close(devnull)
 
 
 def _parse_target(kind, target_spec):
