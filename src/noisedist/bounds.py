@@ -191,15 +191,21 @@ def check_bounds(
     qubit bound g[N]^2 + g[D]^2 <= 1: floats and bools for scalars, arrays
     for arrays, broadcast together.
 
-    tolerance is the accepted slack: 1e-9 suits analytic inputs; sampled
-    points should pass a few standard deviations' worth instead.
+    tolerance is the accepted slack, a number or an array that broadcasts
+    with the bits: 1e-9 suits analytic inputs; sampled points should pass a
+    few standard deviations' worth instead.
     """
-    if not 0.0 <= tolerance < math.inf:
+    try:
+        slack = np.asarray(tolerance, dtype=float)
+        valid = ((slack >= 0.0) & (slack < math.inf)).all()  # NaN fails both
+    except (TypeError, ValueError):  # text, or a ragged sequence
+        valid = False
+    if not valid:
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     tight = tight_value(noise_bits, disturbance_bits)
     general = np.add(noise_bits, disturbance_bits) >= c_ab(a, b) - tolerance
     satisfied = tight <= 1.0 + tolerance
-    if np.ndim(tight) == 0:
+    if np.ndim(general) == 0:
         return tight, bool(general), bool(satisfied)
     return tight, general, satisfied
 
@@ -232,8 +238,9 @@ class BoundarySolverState:
     theta_m are the member angles (radians) of the extremal pure-state
     ensembles, parametrized by r = (0, cos t, sin t) in the y-z plane; kappa
     and lam are the multipliers of the disturbance constraint and the weight
-    normalization. Every retained angle satisfies f(theta_m) = kappa within
-    1e-8; any weights over these angles give the same boundary point.
+    normalization. There is at least one member, kappa and lam are finite,
+    and every retained angle satisfies f(theta_m) = kappa within 1e-8; any
+    weights over these angles give the same boundary point.
     """
 
     theta_m: tuple
@@ -242,12 +249,17 @@ class BoundarySolverState:
 
     def __post_init__(self):
         object.__setattr__(self, "theta_m", tuple(float(t) for t in self.theta_m))
+        # with no members the stationarity check below has nothing to check
+        if not self.theta_m or not (math.isfinite(self.kappa) and math.isfinite(self.lam)):
+            raise ValidationError(
+                "a solver state needs at least one member and finite kappa and lam, got "
+                f"{len(self.theta_m)} members, kappa={self.kappa!r}, lam={self.lam!r}")
         # f depends on t only through |sin t| and |cos t| (h'(x)/x is even), so
         # each member folds into [0, pi/2]; multiples of pi/2 land on f's poles
         t = np.array(self.theta_m)
         folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
         resid = np.abs(variational_f(folded) - self.kappa)
-        if not np.all(resid <= 1e-8):  # a NaN kappa fails this too
+        if not np.all(resid <= 1e-8):
             raise ValidationError(
                 f"stationarity violated: max |f(theta_m) - kappa| = {float(resid.max())!r}"
             )

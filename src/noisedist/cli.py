@@ -440,9 +440,8 @@ def run_correct_search(opt) -> int:
         file=sys.stderr,
     )
 
-    meta = None if opt.format == "csv" else {
-        "theta_m_deg": float(opt.theta_m),
-        "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
+    meta = {"theta_m_deg": float(opt.theta_m),
+            "argmin": {"vartheta_deg": best_vt, "phi_deg": best_phi, "D": result.d_min}}
     columns = {"vartheta_deg": varthetas_deg[:, None], "phi_deg": phis_deg[None, :],
                "D": result.surface}
     with _output(opt.out) as stream:

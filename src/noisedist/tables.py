@@ -5,31 +5,33 @@ then `repr` per float) and writes it to the output stream in bounded chunks,
 so no output is ever held in memory whole. Its bytes equal what `csv.writer`
 (floats as `repr`, booleans as `true`/`false`) and
 `json.dumps(payload, indent=2, sort_keys=True) + "\\n"` produce for the same
-table.
+table. The JSON envelope is that very dump of the meta with an empty rows
+list, split at the rows key's line; the rows stream in its place.
 
 A table is either a list of rows (columns of equal length: 1-D arrays, or
 lists of Python scalars of one type) or a lattice (2-D arrays, rows in
-row-major cell order). A lattice column may have
-shape (n, 1), one value per lattice row, or (1, m), one value per lattice
-column; such a value is formatted at most once per lattice block, not once
-per cell.
+row-major cell order). A lattice is formatted in the blocks of
+_lattice_blocks (whole lattice rows, or runs of one row when a row is longer)
+and written one lattice row, or one such run, at a time. Every lattice
+column, of shape (n, m), (n, 1) or (1, m), follows one rule: a block indexes
+it along the axes it varies on and repeats its strings along the axes it is
+constant on, and its float64 values go through _per_distinct with a memo of
+its own, so an axis of up to _BLOCK_SIZE values is formatted once per lattice.
 
 This module also owns the row blocking of every bounded kernel: the
 correction surface, the boundary and the ensemble oracle evaluate in the
 blocks of _row_blocks and _lattice_blocks, at most _BLOCK_SIZE items each.
-A lattice is formatted in the blocks of _lattice_blocks (whole lattice rows,
-or runs of one row when a row is longer) and written one lattice row, or one
-such run, at a time. _per_distinct evaluates an elementwise function of
-float64 cells once per distinct bit pattern of a block and gathers the
-results back into cell order, with a memo that carries results over to the
-later blocks of the same lattice. The memo lives for one call of its caller
-(one lattice column of one write_table call, one disturbance_surface call)
-and holds at most _BLOCK_SIZE values; once full it stops growing and still
-answers for what it holds. repr and the surface kernel depend on a cell's
-bits alone, so the bytes are those of evaluating every cell, while only a
-block's results and the memo are held. A correction surface repeats its
-values often (it depends on the target only through sin vartheta sin phi),
-so a lattice evaluates and formats a fraction of its cells.
+_per_distinct evaluates an elementwise function of float64 cells once per
+distinct bit pattern of a block and gathers the results back into cell
+order, with a memo that carries results over to the later blocks of the same
+lattice. The memo lives for one call of its caller (one lattice column of one
+write_table call, one disturbance_surface call) and holds at most
+_BLOCK_SIZE values; once full it stops growing and still answers for what it
+holds. repr and the surface kernel depend on a cell's bits alone, so the
+bytes are those of evaluating every cell, while only a block's results and
+the memo are held. A correction surface repeats its values often (it depends
+on the target only through sin vartheta sin phi), so a lattice evaluates and
+formats a fraction of its cells.
 """
 
 from __future__ import annotations
@@ -114,32 +116,23 @@ def _row_chunks(columns: list, fmt: str):
     def strings_of(values):
         return np.array(_format(values, fmt), dtype=object)
 
-    # each getter gives, for one lattice block, a list of cell strings per
-    # row of the block; a (1, m) axis whose rows fit in a block is formatted
-    # once, one list shared by every row
-    def cells_of(c):
-        if c.shape[1] == 1:
-            c = np.broadcast_to(c, (n_rows, 1))
-            return lambda rows, cols: [[s] * (cols.stop - cols.start)
-                                       for s in _format(c[rows], fmt)]
-        if c.shape[0] == 1:
-            if n_cols > _BLOCK_SIZE:  # a block is part of one row
-                return lambda rows, cols: [_format(c[0, cols], fmt)]
-            strings = _format(c, fmt)
-            return lambda rows, cols: [strings] * (rows.stop - rows.start)
-
-        memo = []  # this column's strings, reused by the blocks that follow
-
-        def block_cells(rows, cols):
-            block = c[rows, cols]
-            if block.dtype == np.float64:
-                return _per_distinct(strings_of, block, memo).tolist()
-            return np.array(_format(block, fmt), dtype=object).reshape(block.shape).tolist()
-        return block_cells
-
-    getters = [cells_of(np.atleast_2d(c)) for c in columns]
+    columns = [np.atleast_2d(c) for c in columns]
+    memos = [[] for _ in columns]  # one per column, for the blocks that follow
     for rows, cols in _lattice_blocks(n_rows, n_cols):
-        yield from zip(*[get(rows, cols) for get in getters])
+        block_cells = []
+        for c, memo in zip(columns, memos):
+            # index a column along the axes it varies on ...
+            block = c[rows if c.shape[0] > 1 else slice(None),
+                      cols if c.shape[1] > 1 else slice(None)]
+            if block.dtype == np.float64:
+                text = _per_distinct(strings_of, block, memo).tolist()
+            else:
+                text = np.array(_format(block, fmt), dtype=object).reshape(block.shape).tolist()
+            # ... and repeat its strings along the axes it is constant on
+            if c.shape[1] == 1:
+                text = [row * (cols.stop - cols.start) for row in text]
+            block_cells.append(text * (rows.stop - rows.start) if c.shape[0] == 1 else text)
+        yield from zip(*block_cells)
 
 
 def _per_distinct(fn, values, memo: list) -> np.ndarray:
@@ -186,8 +179,8 @@ def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
     lattice column must be an array, a row column may also be a list. CSV
     output is a header line and one line per row. JSON output is the object
     `meta` plus `rows_key`, a list of one object per row, with every object's
-    keys sorted. CSV text cells are written unquoted, so they must hold no
-    comma, quote or line break.
+    keys sorted; CSV output ignores `meta`. CSV text cells are written
+    unquoted, so they must hold no comma, quote or line break.
     """
     names = list(columns)
     arrays = [v if isinstance(v, list) else np.asarray(v) for v in columns.values()]
@@ -205,25 +198,15 @@ def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
     fields = ",\n".join("      " + json.dumps(names[k]).replace("%", "%%") + ": %s"
                          for k in order)
     template = "    {\n" + fields + "\n    }"
-    top = dict(meta or {})
-    top[rows_key] = None
-    stream.write("{\n")
-    for n, key in enumerate(sorted(top)):
-        stream.write(f"  {json.dumps(key)}: ")
-        if key == rows_key:
-            _write_json_rows(stream, template, [arrays[k] for k in order])
-        elif isinstance(top[key], (dict, list)):
-            stream.write(json.dumps(top[key], indent=2, sort_keys=True).replace("\n", "\n  "))
-        else:  # a scalar reads the same without indent
-            stream.write(json.dumps(top[key]))
-        stream.write(",\n" if n < len(top) - 1 else "\n")
-    stream.write("}\n")
-
-
-def _write_json_rows(stream, template: str, arrays: list[np.ndarray]) -> None:
+    # the rows key's line occurs once in the dump: nested keys sit at least
+    # four spaces deep, and strings escape their line breaks and quotes
+    key = "\n  " + json.dumps(rows_key) + ": "
+    head, tail = json.dumps({**(meta or {}), rows_key: []}, indent=2,
+                            sort_keys=True).split(key + "[]")
+    stream.write(head + key)
     opened = False
-    for cells in _row_chunks(arrays, "json"):
+    for cells in _row_chunks([arrays[k] for k in order], fmt):
         stream.write(",\n" if opened else "[\n")
         stream.write(",\n".join(map(template.__mod__, zip(*cells))))
         opened = True
-    stream.write("\n  ]" if opened else "[]")
+    stream.write(("\n  ]" if opened else "[]") + tail + "\n")

@@ -243,10 +243,28 @@ class TestCheckBounds:
         tight = check_bounds(0.2, 0.2)[0]
         assert check_bounds(0.2, 0.2, tolerance=tight - 1.0)[2]
 
-    @pytest.mark.parametrize("tolerance", [-1e-9, math.nan, math.inf])
+    def test_array_tolerance_gives_the_flags_of_per_row_calls(self):
+        n = np.array([0.5, 0.6, 0.2, 0.2, 0.0])
+        d = np.array([0.6, 0.5, 0.2, 0.2, 1.0])
+        tolerance = np.array([1e-9, 1e-9, 0.59, 0.61, 0.0])
+        tight, general, satisfied = check_bounds(n, d, tolerance=tolerance)
+        for k in range(n.size):
+            scalar = check_bounds(n[k], d[k], tolerance=float(tolerance[k]))
+            assert (tight[k], general[k], satisfied[k]) == scalar
+        # one noise row, two disturbance rows, a slack per column
+        stacked = check_bounds(n, np.stack([d, d]), tolerance=tolerance)
+        assert stacked[1].tolist() == [general.tolist()] * 2
+
+    @pytest.mark.parametrize("tolerance", [
+        -1e-9, math.nan, math.inf,
+        np.array([1e-9, -1e-9]), np.array([1e-9, math.nan]), np.array([math.inf, 1e-9]),
+        "abc", [1e-9, [1e-9]],
+    ])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
         with pytest.raises(ValidationError):
             check_bounds(0.5, 0.5, tolerance=tolerance)
+        with pytest.raises(ValidationError):
+            check_bounds(np.array([0.5, 0.6]), np.array([0.6, 0.5]), tolerance=tolerance)
 
     def test_bits_outside_the_unit_interval_raise(self):
         # the inverse entropy checks its domain with 1e-12 slack, so 2 bits
@@ -326,8 +344,14 @@ class TestVariationalSolverState:
     def test_nan_multiplier_rejected(self):
         from noisedist import BoundarySolverState
 
-        with pytest.raises(ValidationError):
-            BoundarySolverState((0.3,), kappa=math.nan, lam=0.0)
+        stationary = variational_f(0.3)
+        # with no members the stationarity check has nothing to check
+        for theta_m, kappa, lam in [((0.3,), math.nan, 0.0), ((), math.nan, math.inf),
+                                    ((), 1.0, 0.0), ((0.3,), stationary, math.inf),
+                                    ((0.3,), stationary, math.nan)]:
+            with pytest.raises(ValidationError):
+                BoundarySolverState(theta_m, kappa=kappa, lam=lam)
+        BoundarySolverState((0.3,), kappa=stationary, lam=0.0)
 
     def test_weight_multiplier_balances_the_weight_condition(self):
         from noisedist import variational_solver_state

@@ -2,12 +2,15 @@
 `verify` report on stdout, for fixed configurations. A change that alters
 any output byte must update the hash here and say why in CHANGES.md."""
 
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import noisedist
@@ -267,6 +270,79 @@ def test_output_does_not_depend_on_the_blas_kernel(argv):
             for extra in ({}, {"OPENBLAS_CORETYPE": "Nehalem"})]
     assert [run.returncode for run in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
+
+
+SIMD_COMMANDS = [
+    ["correct-search", "--theta-m", "37.3", "--grid", "1.5"],
+    ["correct-search", "--theta-m", "37.3", "--grid", "1.5", "--format", "json"],
+    ["sweep", "--theta", "0:180:0.25", "--format", "json"],
+    ["boundary", "--samples", "1001", "--format", "json"],
+    GOLDEN["simulate-json"][0],
+]
+
+
+def _parsed(argv, path):
+    """The output file as JSON values, or as CSV rows of ints, floats and
+    text ("true" and "false" stay text)."""
+    text = path.read_text()
+    if "json" in argv:
+        return json.loads(text)
+
+    def cell(value):
+        if value in ("true", "false"):
+            return value
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        return value
+    return [list(map(cell, row)) for row in csv.reader(text.splitlines())]
+
+
+def _skeleton(value, floats):
+    """value with each float replaced by `float` and appended to floats, and
+    each other scalar by its (type, value)."""
+    if isinstance(value, float):
+        floats.append(value)
+        return float
+    if isinstance(value, dict):
+        return {key: _skeleton(item, floats) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_skeleton(item, floats) for item in value]
+    return type(value), value
+
+
+def test_outputs_agree_at_a_lower_simd_level(tmp_path):
+    """The table of every subcommand, written by a child at the default SIMD
+    dispatch level and by one with numpy's AVX512 kernels off: headers, keys,
+    row counts, flags, ints and text match exactly, and each float to within
+    4 ulp of max(|value|, 1), the scale of one bit. The setting acts on the
+    child alone; on a CPU without those features both children run at one
+    level, and a numpy that refuses the setting skips."""
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    parsed = []
+    for level, extra in enumerate([{}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"}]):
+        outs = [tmp_path / f"{level}-{i}" for i in range(len(SIMD_COMMANDS))]
+        script = ("from noisedist.cli import main\n"
+                  f"for argv, out in zip({SIMD_COMMANDS!r}, {list(map(str, outs))!r}):\n"
+                  "    assert main([*argv, '--out', out]) == 0, argv\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(env, **extra), timeout=120)
+        if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
+            pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES here")
+        assert proc.returncode == 0, proc.stderr
+        parsed.append([_parsed(argv, out) for argv, out in zip(SIMD_COMMANDS, outs)])
+    for argv, default, lower in zip(SIMD_COMMANDS, *parsed):
+        floats = [], []
+        assert _skeleton(default, floats[0]) == _skeleton(lower, floats[1]), argv
+        a, b = map(np.array, floats)
+        assert np.array_equal(np.isnan(a), np.isnan(b)), argv
+        a, b = a[~np.isnan(a)], b[~np.isnan(b)]
+        assert np.all(np.abs(a - b) <= 4 * np.spacing(np.maximum(np.abs(a), 1.0))), argv
 
 
 # ------------------------------------------------ help and usage errors

@@ -62,14 +62,27 @@ def tables(draw):
     }
 
 
-@given(columns=tables(), chunk=st.integers(min_value=1, max_value=7))
-@settings(max_examples=200)
-def test_matches_csv_writer_and_json_dumps(columns, chunk):
+# meta keys and strings that look like the rows key's line of the envelope
+META_KEYS = st.sampled_from(["rows", "config", "z", "", '"rows": []', '\n  "rows": []'])
+META_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2**62, 2**62), floats,
+                         st.text(max_size=8), META_KEYS)
+META_VALUES = st.recursive(
+    META_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(META_KEYS, inner, max_size=3),
+                            st.just({"rows": []}), st.just([{"rows": []}])),
+    max_leaves=10)
+
+
+@given(columns=tables(), chunk=st.integers(min_value=1, max_value=7),
+       meta=st.dictionaries(META_KEYS, META_VALUES, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_matches_csv_writer_and_json_dumps(columns, chunk, meta):
     original = noisedist.tables.CHUNK_ROWS
     noisedist.tables.CHUNK_ROWS = chunk  # many chunks per table
     try:
         assert emit(columns, "csv") == reference_csv(columns)
-        meta = {"config": {"seed": 3, "tolerance": 1e-9, "name": "custom(9,0)"}, "z": [1, 2.5]}
+        assert emit(columns, "csv", meta=meta) == reference_csv(columns)
         assert emit(columns, "json", meta=meta) == reference_json(columns, meta)
         # lists of Python scalars are formatted exactly as the arrays they came from
         as_lists = {name: v.tolist() for name, v in columns.items()}
@@ -110,7 +123,8 @@ def lattices(draw):
     return (np.array(draw(st.lists(pool, min_size=n, max_size=n)), dtype=float),
             np.array(draw(st.lists(pool, min_size=m, max_size=m)), dtype=float),
             np.array(draw(st.lists(pool, min_size=n * m, max_size=n * m)),
-                     dtype=float).reshape(n, m))
+                     dtype=float).reshape(n, m),
+            draw(pool))
 
 
 @given(lattice=lattices(), block=st.integers(min_value=1, max_value=7))
@@ -118,12 +132,17 @@ def lattices(draw):
 def test_lattice_matches_csv_writer_and_json_dumps(lattice, block):
     """Cells repeat within and across blocks of every size, and blocks split
     the lattice between rows and, when a row is longer than a block, within
-    rows; each cell keeps the string of its own bits."""
-    rows, cols, cells = lattice
+    rows; each cell keeps the string of its own bits. Axis columns of every
+    shape and dtype follow the same rule: (n, 1) floats and bools, (1, m)
+    floats and ints, and a (1, 1) float."""
+    rows, cols, cells, corner = lattice
+    n, m = cells.shape
     columns = {"vartheta_deg": rows[:, None], "phi_deg": cols[None, :], "D": cells,
-               "ok": cells >= 0.5}
-    flat = {"vartheta_deg": np.repeat(rows, cols.size), "phi_deg": np.tile(cols, rows.size),
-            "D": cells.ravel(), "ok": cells.ravel() >= 0.5}
+               "ok": cells >= 0.5, "row_ok": (rows >= 0.5)[:, None],
+               "k": np.arange(m)[None, :], "corner": np.array([[corner]])}
+    flat = {"vartheta_deg": np.repeat(rows, m), "phi_deg": np.tile(cols, n),
+            "D": cells.ravel(), "ok": cells.ravel() >= 0.5, "row_ok": np.repeat(rows >= 0.5, m),
+            "k": np.tile(np.arange(m), n), "corner": np.full(n * m, corner)}
     original = noisedist.tables._BLOCK_SIZE
     noisedist.tables._BLOCK_SIZE = block
     try:
