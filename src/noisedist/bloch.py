@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _float, _floats
 
 #: Outcome labels in storage order: index 0 holds outcome +1, index 1 holds -1.
 OUTCOMES = (1, -1)
@@ -45,9 +45,8 @@ class BlochVector:
     z: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, _float(getattr(self, name)))
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -83,6 +82,7 @@ class PureState:
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "PureState":
         """State at polar angle theta from +z and azimuth phi (radians)."""
+        theta, phi = _float(theta), _float(phi)
         if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ValidationError(f"angles must be finite, got ({theta!r}, {phi!r})")
         st = math.sin(theta)
@@ -120,6 +120,7 @@ SIGMA_Z = Observable(BlochVector(0.0, 0.0, 1.0))
 def polar_observable(theta: float) -> Observable:
     """Spin along (0, sin(theta), cos(theta)): the y-z-plane measurement axis
     at polar angle theta (radians) from +z."""
+    theta = _float(theta)
     if not math.isfinite(theta):
         raise ValidationError(f"polar angle must be finite, got {theta!r}")
     return Observable(BlochVector(0.0, math.sin(theta), math.cos(theta)))
@@ -131,7 +132,7 @@ def born(overlap):
     p(-1) = (1 - r . n)/2. |r . n| may exceed 1 by 1e-12 (the result is
     clipped to [0, 1]); anything else, NaN included, raises ValidationError.
     """
-    x = np.asarray(overlap, dtype=float)
+    x = _floats(overlap)
     # written as an in-range test so that NaN fails it too
     if not (np.abs(x) <= 1.0 + UNIT_ATOL).all():
         raise ValidationError("Bloch overlaps must be finite with |r . n| <= 1")

@@ -18,13 +18,11 @@ import numpy as np
 from .bloch import (
     SIGMA_Y,
     SIGMA_Z,
-    UNIT_ATOL,
     BlochVector,
     CorrectionMap,
     Observable,
     polar_observable,
 )
-from .counting import _is_integer
 from .entropy import (
     _eigen_pair,
     binary_entropy,
@@ -32,7 +30,7 @@ from .entropy import (
     binary_entropy_inverse,
     disturbance_bits,
 )
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _count, _float, _floats
 from .tables import _lattice_blocks, _per_distinct, _row_blocks
 
 #: Size caps, checked before anything is allocated: cells of a
@@ -56,26 +54,14 @@ def optimal_correction(m_axis, b: Observable) -> CorrectionMap:
     """Disturbance-minimizing re-preparation after a sharp measurement along
     m_axis: outcome mu is sent to |mu b> when b.m >= 0 and to |-mu b>
     otherwise. The tie b.m = 0 takes the >= branch."""
-    if isinstance(m_axis, Observable):
-        m_axis = m_axis.axis
-    if not isinstance(m_axis, BlochVector):
+    if isinstance(m_axis, BlochVector):
+        m_axis = Observable(m_axis)  # which checks that it is a unit vector
+    if not isinstance(m_axis, Observable):
         raise ValidationError(f"m_axis must be a BlochVector, got {type(m_axis).__name__}")
-    if not abs(m_axis.norm() - 1.0) <= UNIT_ATOL:
-        raise ValidationError(f"m_axis must be unit-norm, |m| = {m_axis.norm()!r}")
     plus, minus = b.eigenstates()
-    if b.axis.dot(m_axis) >= 0.0:
+    if b.axis.dot(m_axis.axis) >= 0.0:
         return CorrectionMap(plus, minus)
     return CorrectionMap(minus, plus)
-
-
-def _float_axes(varthetas, phis):
-    """The vartheta and phi axes as float arrays of at least one dimension;
-    text or ragged sequences raise ValidationError, not numpy's ValueError."""
-    try:
-        return (np.atleast_1d(np.asarray(varthetas, dtype=float)),
-                np.atleast_1d(np.asarray(phis, dtype=float)))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"vartheta and phi axes must hold numbers: {exc}") from None
 
 
 def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y) -> np.ndarray:
@@ -95,7 +81,7 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     MAX_SURFACE_CELLS cells raise ValidationError.
     """
     m = polar_observable(theta_m)
-    vt, ph = _float_axes(varthetas, phis)
+    vt, ph = np.atleast_1d(_floats(varthetas), _floats(phis))
     if vt.ndim != 1 or ph.ndim != 1:
         raise ValidationError(
             f"vartheta and phi axes must be 1-D, got shapes {vt.shape} and {ph.shape}")
@@ -139,7 +125,7 @@ class GridSearchResult:
 def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> GridSearchResult:
     """Evaluate the disturbance surface on a (vartheta, phi) lattice and
     locate its minimum."""
-    vt, ph = _float_axes(varthetas, phis)
+    vt, ph = np.atleast_1d(_floats(varthetas), _floats(phis))
     if vt.size == 0 or ph.size == 0:
         raise ValidationError("correction grid must be non-empty")
     surface = disturbance_surface(theta_m, vt, ph, b)
@@ -157,11 +143,8 @@ def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> Gr
     )
 
 
-def _inverse_pair(noise_bits, disturbance_bits):
-    """(g[N], g[D]) in the shapes of their arguments, from one inverse-entropy
-    call over both."""
-    n = np.asarray(noise_bits, dtype=float)
-    d = np.asarray(disturbance_bits, dtype=float)
+def _inverse_pair(n, d):
+    """(g[N], g[D]) of the float arrays n and d, in their shapes, from one inverse-entropy call."""
     g = binary_entropy_inverse(np.concatenate([n.ravel(), d.ravel()]))
     return g[:n.size].reshape(n.shape), g[n.size:].reshape(d.shape)
 
@@ -174,9 +157,9 @@ def tight_value(noise_bits, disturbance_bits):
     boundary. One inverse-entropy call covers both arguments; bits outside
     [0, 1] (beyond 1e-12 slack) raise DomainError.
     """
-    g_n, g_d = _inverse_pair(noise_bits, disturbance_bits)
+    g_n, g_d = _inverse_pair(*_floats(noise_bits, disturbance_bits))
     tight = g_n * g_n + g_d * g_d
-    return float(tight) if np.ndim(tight) == 0 else tight
+    return float(tight) if tight.ndim == 0 else tight
 
 
 def check_bounds(
@@ -195,17 +178,13 @@ def check_bounds(
     with the bits: 1e-9 suits analytic inputs; sampled points should pass a
     few standard deviations' worth instead.
     """
-    try:
-        slack = np.asarray(tolerance, dtype=float)
-        valid = ((slack >= 0.0) & (slack < math.inf)).all()  # NaN fails both
-    except (TypeError, ValueError):  # text, or a ragged sequence
-        valid = False
-    if not valid:
+    n, d, slack = _floats(noise_bits, disturbance_bits, tolerance)
+    if not ((slack >= 0.0) & (slack < math.inf)).all():  # NaN fails both
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    tight = tight_value(noise_bits, disturbance_bits)
-    general = np.add(noise_bits, disturbance_bits) >= c_ab(a, b) - tolerance
-    satisfied = tight <= 1.0 + tolerance
-    if np.ndim(general) == 0:
+    tight = tight_value(n, d)
+    general = n + d >= c_ab(a, b) - slack
+    satisfied = tight <= 1.0 + slack
+    if general.ndim == 0:
         return tight, bool(general), bool(satisfied)
     return tight, general, satisfied
 
@@ -220,7 +199,7 @@ def variational_f(theta):
     f(t) f(pi/2 - t) = 1. Endpoint input (or input close enough that sin or
     cos rounds to 1) raises DomainError.
     """
-    arr = np.asarray(theta, dtype=float)
+    arr = _floats(theta)
     # negated in-range tests, so that NaN fails them too
     if np.any(~((arr > 0.0) & (arr < math.pi / 2))):
         raise DomainError("variational_f is defined on the open interval (0, pi/2)")
@@ -228,7 +207,7 @@ def variational_f(theta):
     if np.any(~((s < 1.0) & (c < 1.0))):
         raise DomainError("variational_f input too close to an endpoint singularity")
     out = (binary_entropy_derivative(s) / s) / (binary_entropy_derivative(c) / c)
-    return float(out) if np.ndim(theta) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -248,15 +227,17 @@ class BoundarySolverState:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_m", tuple(float(t) for t in self.theta_m))
+        t = _floats(self.theta_m)
+        object.__setattr__(self, "theta_m", tuple(np.ravel(t).tolist()))
+        for name in ("kappa", "lam"):
+            object.__setattr__(self, name, _float(getattr(self, name)))
         # with no members the stationarity check below has nothing to check
-        if not self.theta_m or not (math.isfinite(self.kappa) and math.isfinite(self.lam)):
+        if t.ndim != 1 or not t.size or not (math.isfinite(self.kappa) and math.isfinite(self.lam)):
             raise ValidationError(
-                "a solver state needs at least one member and finite kappa and lam, got "
-                f"{len(self.theta_m)} members, kappa={self.kappa!r}, lam={self.lam!r}")
+                "a solver state needs a sequence of at least one member and finite kappa and "
+                f"lam, got theta_m={self.theta_m!r}, kappa={self.kappa!r}, lam={self.lam!r}")
         # f depends on t only through |sin t| and |cos t| (h'(x)/x is even), so
         # each member folds into [0, pi/2]; multiples of pi/2 land on f's poles
-        t = np.array(self.theta_m)
         folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
         resid = np.abs(variational_f(folded) - self.kappa)
         if not np.all(resid <= 1e-8):
@@ -280,7 +261,7 @@ def variational_solver_state(theta: float) -> BoundarySolverState:
     lam = -(h(cos theta) + kappa h(sin theta)). Any mixture of the four
     members lands on (h(cos theta), h(sin theta)).
     """
-    theta = float(theta)
+    theta = _float(theta)
     if not 0.0 < theta < math.pi / 2:
         raise DomainError("boundary parameter must lie in the open interval (0, pi/2)")
     kappa = variational_f(math.pi / 2 - theta)
@@ -309,11 +290,7 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     Endpoints are (0, 1) and (1, 0) exactly; every point satisfies
     g[N]^2 + g[D]^2 = 1 within 1e-10. At most MAX_SURFACE_CELLS samples.
     """
-    if not _is_integer(samples) or samples < 2:
-        raise ValidationError(f"samples must be an integer >= 2, got {samples!r}")
-    if samples > MAX_SURFACE_CELLS:
-        raise ValidationError(f"samples must be at most {MAX_SURFACE_CELLS}, got {samples!r}")
-    theta = np.linspace(0.0, math.pi / 2, int(samples))
+    theta = np.linspace(0.0, math.pi / 2, _count("samples", samples, 2, MAX_SURFACE_CELLS))
     return BoundaryCurve(
         theta,
         _row_blocks(lambda t: binary_entropy(np.cos(t)), np.empty(theta.size), theta),
@@ -336,8 +313,9 @@ def signed_boundary_distance(noise_bits, disturbance_bits):
     """Vertical distance to the boundary in bits; negative means the point
     lies in the prohibited region below the curve. The inverse-entropy call
     checks that both arguments lie in [0, 1] bits."""
-    g_n, _ = _inverse_pair(noise_bits, disturbance_bits)
-    return disturbance_bits - _boundary_disturbance_of_g(g_n)
+    n, d = _floats(noise_bits, disturbance_bits)
+    distance = d - _boundary_disturbance_of_g(_inverse_pair(n, d)[0])
+    return float(distance) if distance.ndim == 0 else distance
 
 
 @dataclass(frozen=True)
@@ -348,7 +326,9 @@ class EnsembleMember:
     state: BlochVector
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", _float(self.weight))
+        if not isinstance(self.state, BlochVector):
+            raise ValidationError(f"state must be a BlochVector, got {type(self.state).__name__}")
         if not -1e-12 <= self.weight <= 1.0 + 1e-12:
             raise ValidationError(f"weight must lie in [0, 1], got {self.weight!r}")
         n = self.state.norm()
@@ -360,7 +340,9 @@ def ensemble_point(members) -> tuple[float, float]:
     """Ensemble-averaged entropy pair
     (sum_m p_m H(sigma_z|rho_m), sum_m p_m H(sigma_y|rho_m)) with
     H(sigma|rho) = h(r . axis)."""
-    members = list(members)
+    members = list(members) if np.iterable(members) else [members]
+    if not all(isinstance(m, EnsembleMember) for m in members):
+        raise ValidationError(f"ensemble members must be EnsembleMembers, got {members!r:.80}")
     total = sum(m.weight for m in members)
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"ensemble weights must sum to 1, got {total!r}")
@@ -438,19 +420,10 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     region is bounded below by the straight N + D = 1 segment, not by the
     curve.
     """
-    if not _is_integer(trials) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
-    if trials > MAX_TRIALS:
-        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
-    if not _is_integer(max_members) or max_members < 1:
-        raise ValidationError(f"max_members must be an integer >= 1, got {max_members!r}")
-    if int(trials) * int(max_members) > MAX_SURFACE_CELLS:
-        raise ValidationError(
-            f"trials x max_members must be at most {MAX_SURFACE_CELLS}, "
-            f"got {trials} x {max_members}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    trials = _count("trials", trials, 1, MAX_TRIALS)
+    max_members = _count("max_members", max_members, 1)
+    _count("trials x max_members", trials * max_members, 1, MAX_SURFACE_CELLS)
+    rng = np.random.default_rng(np.random.SeedSequence(_count("seed", seed, 0)))
 
     # all draws whole and in this order, so the stream does not depend on the
     # blocks; the normals become Bloch vectors and gamma the weights in place.
@@ -508,8 +481,8 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         for k in range(int(sizes[worst]))
     )
     return OracleReport(
-        trials=int(trials),
-        max_members=int(max_members),
+        trials=trials,
+        max_members=max_members,
         seed=int(seed),
         min_signed_distance=float(np.min(distances)),
         max_tight_excess=float(highs[0]),

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bloch import OUTCOMES, SIGMA_Y, SIGMA_Z, CorrectionMap, Observable
 from .entropy import NDPoint, _cond_entropy_given_last, _eigen_pair, joint_tables
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, _count, _float, _floats
 from .tables import write_table
 
 FAMILIES = ("A", "B")
@@ -97,26 +97,17 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
     simulate_intensities makes, counts and stream alike. One joint_tables
     call covers all of them; sampled modes then draw seed by seed, axis by
     axis, family by family and input by input, one stream each."""
-    if not _is_integer(shots) or shots < 1:
-        raise ValidationError(f"shots must be a positive integer, got {shots!r}")
-    if shots > MAX_SHOTS:
-        raise ValidationError(f"shots must be at most {MAX_SHOTS}, got {shots!r}")
-    for seed in seeds:
-        if not _is_integer(seed):
-            raise ValidationError(f"seed must be an integer, got {seed!r}")
+    shots = _count("shots", shots, 1, MAX_SHOTS)
+    seeds = [_count("seed", seed, 0) for seed in seeds]
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     for family in families:
         if family not in FAMILIES:
             raise ValidationError(f"family must be one of {FAMILIES}, got {family!r}")
+    efficiency = _float(efficiency)
     if not 0.0 < efficiency <= 1.0:
         raise ValidationError(f"efficiency must lie in (0, 1], got {efficiency!r}")
-    for seed in seeds:
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed!r}")
 
-    axes = np.asarray(axes, dtype=float)
-    targets = np.asarray(targets, dtype=float)
     inputs = np.array([(a if family == "A" else b).axis.as_tuple() for family in families])
     # joint[j, family, i] is the joint distribution of (mu, beta') for input OUTCOMES[i]
     joint = joint_tables(_eigen_pair(_dot(inputs, axes[:, None])),
@@ -141,11 +132,6 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
             cells = rng.poisson(means[row])
         counts[index] = cells
     return counts.reshape((len(seeds),) + joint.shape)
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; booleans are not counts or seeds."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def polar_angle(obs: Observable) -> float:
@@ -182,7 +168,7 @@ class IntensityTable:
             raise ValidationError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        arr = np.array(self.counts, dtype=float)
+        arr = _floats(self.counts).copy()
         if arr.shape != (2, 2, 2):
             raise ValidationError(f"counts must have shape (2, 2, 2), got {arr.shape}")
         # written as a negated in-range test so that NaN fails it too
@@ -246,9 +232,9 @@ def simulate_intensities(
     "poisson" draws every cell independently with mean shots * efficiency * p.
     """
     post_map = correction if correction is not None else CorrectionMap.identity_for(measurement)
-    targets = [post_map.target_plus.direction.as_tuple(),
-               post_map.target_minus.direction.as_tuple()]
-    counts = _draw_counts([seed], [family], [measurement.axis.as_tuple()], [[targets]],
+    targets = np.array([[[post_map.target_plus.direction.as_tuple(),
+                          post_map.target_minus.direction.as_tuple()]]])
+    counts = _draw_counts([seed], [family], np.array([measurement.axis.as_tuple()]), targets,
                           shots, mode, efficiency, a, b)[0, 0, 0]
     if correction_label is None:
         correction_label = "identity" if correction is None else "custom"
@@ -290,7 +276,6 @@ def _count_joint(counts, families: str):
     ("out" is mu for family A, beta' for family B), with their per-input and
     total sums. Counts must be finite and non-negative (ValidationError); the
     first table in C order with an empty input row raises EstimationError."""
-    counts = np.asarray(counts, dtype=float)
     # a negated in-range test, so that NaN fails it too
     if not np.all((counts >= 0.0) & (counts < np.inf)):
         raise ValidationError("counts must be finite and non-negative")
@@ -349,7 +334,7 @@ def nd_from_counts(table_a: IntensityTable, table_b: IntensityTable) -> NDPoint:
         raise ValidationError(
             f"expected families ('A', 'B'), got ({table_a.family!r}, {table_b.family!r})"
         )
-    n, d = _input_entropy_given_out([table_a.counts, table_b.counts], "AB")
+    n, d = _input_entropy_given_out(np.stack([table_a.counts, table_b.counts]), "AB")
     return NDPoint(
         noise=n,
         disturbance=d,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _SIGNS, CorrectionMap, Observable, ProjectiveInstrument, born
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, _float, _floats
 
 # Slack accepted on mathematical domain boundaries before raising.
 DOMAIN_ATOL = 1e-12
@@ -36,7 +36,7 @@ def binary_entropy(x):
     p > 0, so 0 log 0 = 0; h is then 0 - sum(p log2 p), which is +0.0 at
     x = +-1.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x)
     if arr.size:
         lo, hi = arr.min(), arr.max()
         # written as a negated in-range test so that NaN, which min and max
@@ -54,17 +54,17 @@ def binary_entropy(x):
     terms *= p
     out = np.add(terms[0, ...], terms[1, ...], out=np.empty(arr.shape))
     np.subtract(0.0, out, out=out)
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def binary_entropy_derivative(x):
     """h'(x) = (1/2) log2((1-x)/(1+x)); diverges at the endpoints, so the
     domain is the open interval |x| < 1."""
-    arr = np.asarray(x, dtype=float)
+    arr = _floats(x)
     if np.any(~(np.abs(arr) < 1.0)):
         raise DomainError("binary_entropy_derivative requires |x| < 1")
     out = 0.5 * np.log2((1.0 - arr) / (1.0 + arr))
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def binary_entropy_inverse(y):
@@ -79,7 +79,7 @@ def binary_entropy_inverse(y):
     1e-15 level across [0, 1]. Endpoints are returned exactly: g(0) = 1,
     g(1) = 0.
     """
-    arr = np.asarray(y, dtype=float)
+    arr = _floats(y)
     if np.any(~((arr >= -DOMAIN_ATOL) & (arr <= 1.0 + DOMAIN_ATOL))):
         raise DomainError("binary_entropy_inverse argument must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
@@ -97,7 +97,7 @@ def binary_entropy_inverse(y):
     x = 1.0 - 2.0 * q
     x = np.where(arr == 0.0, 1.0, x)
     x = np.where(arr == 1.0, 0.0, x)
-    return float(x) if np.ndim(y) == 0 else x
+    return float(x) if arr.ndim == 0 else x
 
 
 def _cond_entropy_given_last(p):
@@ -122,7 +122,7 @@ def conditional_entropy(joint, given: str = "y") -> float:
     is indexed in the (+1, -1) storage order; its entries must be
     non-negative and sum to 1 within 1e-9.
     """
-    arr = np.asarray(joint, dtype=float)
+    arr = _floats(joint)
     if arr.ndim != 2:
         raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
     # negated in-range tests, so that NaN fails them too; entries that are
@@ -149,17 +149,16 @@ class NDPoint:
     corrected: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "noise", float(self.noise))
-        object.__setattr__(self, "disturbance", float(self.disturbance))
         for name in ("noise", "disturbance"):
-            v = getattr(self, name)
+            v = _float(getattr(self, name))
+            object.__setattr__(self, name, v)
             if not (-1e-12 <= v <= 1.0 + 1e-9):
                 raise ValidationError(f"{name} must lie in [0, 1] bits, got {v!r}")
 
 
 def _eigen_pair(overlap):
     """Overlaps (..., 2) of the two eigenstates +n, -n of one observable."""
-    return np.asarray(overlap, dtype=float)[..., None] * _SIGNS
+    return overlap[..., None] * _SIGNS
 
 
 def _born_product(p_in, p_final, mu=slice(None)):
@@ -169,19 +168,30 @@ def _born_product(p_in, p_final, mu=slice(None)):
     return p_in[..., :, mu, None] * p_final[..., None, mu, :]
 
 
+def _target_pairs(target_b, input_m):
+    """target_b as (..., 2) floats whose leading axes broadcast with input_m's (..., n)."""
+    target_b = _floats(target_b)
+    if input_m.ndim == 0 or target_b.shape[-1:] != (2,):
+        raise ValidationError(
+            f"overlaps need shapes (..., n) and (..., 2), got {input_m.shape} and {target_b.shape}")
+    _floats(input_m[..., :1], target_b[..., :1])  # raises unless the leading axes broadcast
+    return target_b
+
+
 def joint_tables(input_m, target_b) -> np.ndarray:
     """p(mu, beta' | input) as an (..., n_in, 2, 2) array indexed
     [input, mu, beta'], from input_m (..., n_in) and the overlaps target_b
-    (..., 2) of the targets of mu = +1, -1. Overlaps outside [-1, 1] (or
-    non-finite) raise ValidationError."""
-    return _born_product(born(input_m), born(target_b))
+    (..., 2) of the targets of mu = +1, -1. Other shapes, and overlaps
+    outside [-1, 1] (or non-finite), raise ValidationError."""
+    input_m = _floats(input_m)
+    return _born_product(born(input_m), born(_target_pairs(target_b, input_m)))
 
 
 def noise_bits(a_m):
     """Noise H(A|M) in bits for overlaps a . m (scalar or array): which of the
     uniformly sent eigenstates of A, given mu. It reduces p(mu | input) alone,
     which sums exactly where the table summed over beta' would not."""
-    joint = born(_eigen_pair(a_m))
+    joint = born(_eigen_pair(_floats(a_m)))
     joint *= 0.5
     h = _cond_entropy_given_last(joint)
     return float(h) if h.ndim == 0 else h
@@ -192,7 +202,8 @@ def disturbance_bits(b_m, target_b):
     overlaps target_b (..., 2), broadcast together: which of the uniformly
     sent eigenstates of B, given beta'. p(beta, beta') is summed over mu as
     0.5 (row(mu=+1) + row(mu=-1)), without the (..., 2, 2, 2) table."""
-    p_in, p_final = born(_eigen_pair(b_m)), born(target_b)
+    pair = _eigen_pair(_floats(b_m))
+    p_in, p_final = born(pair), born(_target_pairs(target_b, pair))
     joint = _born_product(p_in, p_final, 0)
     joint += _born_product(p_in, p_final, 1)
     joint *= 0.5
@@ -229,7 +240,7 @@ def disturbance(
 def _finite_theta(theta):
     """theta as a float array; a non-finite angle raises DomainError before
     any trigonometry sees it."""
-    arr = np.asarray(theta, dtype=float)
+    arr = _floats(theta)
     if not np.isfinite(arr).all():
         raise DomainError("theta must be finite")
     return arr

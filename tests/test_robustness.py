@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from noisedist import (
     SIGMA_Y,
+    BlochVector,
+    BoundarySolverState,
     CorrectionMap,
     DomainError,
+    EnsembleMember,
+    IntensityTable,
+    NDPoint,
     NoiseDistError,
     PureState,
     ValidationError,
@@ -25,9 +31,13 @@ from noisedist import (
     boundary_disturbance,
     check_bounds,
     correction_grid_search,
+    disturbance_bits,
     disturbance_surface,
     ensemble_boundary_oracle,
+    ensemble_point,
+    joint_tables,
     maassen_uffink_compare,
+    noise_bits,
     polar_observable,
     signed_boundary_distance,
     theory_disturbance_optimal,
@@ -35,6 +45,7 @@ from noisedist import (
     theory_noise,
     tight_value,
     variational_f,
+    variational_solver_state,
 )
 from noisedist.bounds import MAX_SURFACE_CELLS, MAX_TRIALS
 
@@ -64,6 +75,17 @@ FUNCTIONS = {
         lambda t, p: PureState.from_angles(t, p).direction.as_tuple(), 2, (-1.0, 1.0), False),
     "CorrectionMap.from_rotation_angles": (
         lambda t, p: _targets(CorrectionMap.from_rotation_angles(t, p)), 2, (-1.0, 1.0), False),
+    "noise_bits": (noise_bits, 1, (0.0, 1.0), True),
+    # the overlaps as list items, so that each argument reaches the function as
+    # drawn; the entropy sum may round an ulp above 1 bit, e.g.
+    # disturbance_bits(3.8174625892765704e-14, [0.001953125, 0.5]) = 1 + 2**-52
+    "disturbance_bits": (
+        lambda m, t: disturbance_bits(m, [t, t]), 2, (0.0, 1.0 + 1e-12), True),
+    "joint_tables": (lambda i, t: joint_tables([i, i], [t, t]), 2, (0.0, 1.0), True),
+    "ensemble_point": (
+        lambda w, r: ensemble_point([EnsembleMember(w, BlochVector(0.0, r, 0.0)),
+                                     EnsembleMember(w, BlochVector(0.0, 0.0, r))]),
+        2, (0.0, 1.0), False),
 }
 
 
@@ -246,3 +268,67 @@ def test_oversized_requests_raise_before_allocating(name):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# Every public numeric entry point, with valid arguments of which the property
+# below replaces any set: name -> (function, valid arguments, the argument
+# positions that must hold numbers). Each FUNCTIONS entry takes 0.5 at every
+# position. IntensityTable converts its counts; its theta, shots, seed and
+# efficiency are labels it stores as given.
+_STATE = variational_solver_state(0.3)
+ENTRY_POINTS = {
+    **{name: (func, (0.5,) * arity, range(arity))
+       for name, (func, arity, _, _) in FUNCTIONS.items()},
+    "check_bounds(tolerance)": (
+        lambda n, d, t: check_bounds(n, d, tolerance=t), (0.5, 0.5, 1e-9), range(3)),
+    "disturbance_bits(direct)": (disturbance_bits, (0.5, [0.5, -0.5]), range(2)),
+    "joint_tables(direct)": (joint_tables, ([0.5, -0.5], [0.5, -0.5]), range(2)),
+    "ensemble_point(direct)": (
+        ensemble_point, ([EnsembleMember(1.0, BlochVector(0.0, 0.0, 1.0))],), range(1)),
+    "BlochVector": (BlochVector, (0.0, 0.6, 0.8), range(3)),
+    "NDPoint": (NDPoint, (0.5, 0.5), range(2)),
+    "EnsembleMember": (EnsembleMember, (1.0, BlochVector(0.0, 0.0, 1.0)), range(2)),
+    "BoundarySolverState": (
+        BoundarySolverState, (_STATE.theta_m, _STATE.kappa, _STATE.lam), range(3)),
+    "IntensityTable": (
+        lambda counts, theta, shots, seed, efficiency: IntensityTable(
+            "A", counts, theta, shots, seed, "exact", efficiency=efficiency),
+        (np.ones((2, 2, 2)), 0.5, 10, 0, 1.0), range(1)),
+}
+
+# Values that are not numbers: text (a number's too), None, complex, objects
+# and ragged sequences.
+NOT_NUMBERS = st.sampled_from([
+    "0.5", "abc", "", b"1", None, 0.5 + 0.2j, np.array([0.5 + 0.2j, 0.5]), [None, 0.5],
+    np.array([0.5, "0.5"], dtype=object), [0.1, [0.2]], [[0.1], [0.2, 0.3]], {"x": 0.5},
+])
+# Numbers of every shape the entry points may not expect: 0-d, empty, 1-D of
+# mismatched lengths and 2-D arrays, plus bools and the edges of the floats.
+NUMBERS = st.one_of(
+    npst.arrays(np.float64, npst.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+                elements=st.floats(-2.0, 2.0) | st.sampled_from([math.nan, math.inf, -1.0])),
+    st.booleans(),
+    st.sampled_from([math.nan, -math.inf, 0.0, 1.0, 10**30, np.int64(3), np.float32(0.5)]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_only_noisedist_errors_escape(name, data):
+    func, valid, numeric = ENTRY_POINTS[name]
+    args = list(valid)
+    replaced = data.draw(st.sets(st.sampled_from(range(len(args))), min_size=1), "positions")
+    not_numbers = False
+    for k in sorted(replaced):
+        if data.draw(st.booleans(), f"argument {k} is not a number"):
+            args[k] = data.draw(NOT_NUMBERS, f"argument {k}")
+            not_numbers |= k in numeric
+        else:
+            args[k] = data.draw(NUMBERS, f"argument {k}")
+    try:
+        func(*args)
+    except NoiseDistError:
+        return
+    # text, None, complex, objects and ragged sequences are never read as numbers
+    assert not not_numbers, args
