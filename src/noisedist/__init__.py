@@ -29,25 +29,19 @@ from .bounds import (
     MaassenUffinkReport,
     OracleReport,
     boundary_curve,
-    boundary_disturbance,
     c_ab,
     check_bounds,
     correction_grid_search,
     disturbance_surface,
     ensemble_boundary_oracle,
-    ensemble_point,
     maassen_uffink_compare,
     optimal_correction,
-    signed_boundary_distance,
     tight_value,
     variational_f,
     variational_solver_state,
 )
 from .counting import (
-    EstimatedProbabilities,
     IntensityTable,
-    bayes_invert,
-    estimate_probabilities,
     nd_from_counts,
     polar_angle,
     simulate_intensities,
@@ -57,7 +51,6 @@ from .entropy import (
     binary_entropy,
     binary_entropy_derivative,
     binary_entropy_inverse,
-    conditional_entropy,
     disturbance,
     disturbance_bits,
     joint_tables,

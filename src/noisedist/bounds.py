@@ -298,24 +298,10 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     )
 
 
-def boundary_disturbance(noise_bits):
-    """Disturbance of the boundary point with the given noise: the minimal
-    disturbance compatible with the tight relation."""
-    return _boundary_disturbance_of_g(binary_entropy_inverse(noise_bits))
-
-
 def _boundary_disturbance_of_g(g_noise):
-    """boundary_disturbance given g[N] instead of N."""
+    """h(sqrt(1 - g_noise^2)): the disturbance of the boundary point whose
+    noise N has g[N] = g_noise, the least the tight relation allows there."""
     return binary_entropy(np.sqrt(np.clip(1.0 - g_noise * g_noise, 0.0, 1.0)))
-
-
-def signed_boundary_distance(noise_bits, disturbance_bits):
-    """Vertical distance to the boundary in bits; negative means the point
-    lies in the prohibited region below the curve. The inverse-entropy call
-    checks that both arguments lie in [0, 1] bits."""
-    n, d = _floats(noise_bits, disturbance_bits)
-    distance = d - _boundary_disturbance_of_g(_inverse_pair(n, d)[0])
-    return float(distance) if distance.ndim == 0 else distance
 
 
 @dataclass(frozen=True)
@@ -334,21 +320,6 @@ class EnsembleMember:
         n = self.state.norm()
         if not n <= 1.0 + 1e-12:  # NaN fails this too
             raise ValidationError(f"Bloch vector must satisfy |r| <= 1, got |r| = {n!r}")
-
-
-def ensemble_point(members) -> tuple[float, float]:
-    """Ensemble-averaged entropy pair
-    (sum_m p_m H(sigma_z|rho_m), sum_m p_m H(sigma_y|rho_m)) with
-    H(sigma|rho) = h(r . axis)."""
-    members = list(members) if np.iterable(members) else [members]
-    if not all(isinstance(m, EnsembleMember) for m in members):
-        raise ValidationError(f"ensemble members must be EnsembleMembers, got {members!r:.80}")
-    total = sum(m.weight for m in members)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"ensemble weights must sum to 1, got {total!r}")
-    n = sum(m.weight * binary_entropy(m.state.z) for m in members)
-    d = sum(m.weight * binary_entropy(m.state.y) for m in members)
-    return (float(n), float(d))
 
 
 @dataclass(frozen=True)
@@ -528,7 +499,7 @@ def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     # PureState.from_angles(t, pi/2).direction, without building the states
     r_z = np.array([math.cos(t) for t in thetas.tolist()])
     r_y = np.array([math.sin(t) for t in thetas.tolist()]) * math.sin(math.pi / 2)
-    # ensemble_point of the single member (1, state), for all states at once
+    # the entropy pair of each single-member ensemble (1, state), summed
     sums = binary_entropy(r_z) + binary_entropy(r_y)
     boundary_sums = curve.noise + curve.disturbance
     argmin = int(np.argmin(sums))

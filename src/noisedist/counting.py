@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,9 +135,10 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
 
 
 def polar_angle(obs: Observable) -> float:
-    """Polar angle of an observable's axis from +z, in radians [0, pi]."""
+    """Polar angle of an observable's axis from +z, in radians (-pi, pi],
+    signed by the axis's y component: the inverse of polar_observable."""
     a = obs.axis
-    return math.atan2(math.hypot(a.x, a.y), a.z)
+    return math.atan2(math.copysign(math.hypot(a.x, a.y), a.y), a.z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +152,8 @@ class IntensityTable:
     most `shots` (with equality when efficiency = 1); poisson cell draws are
     unbounded, so that invariant intentionally does not apply there. The
     table keeps its own read-only copy of the counts, so they stay as
-    validated whatever the caller does to its array.
+    validated whatever the caller does to its array; theta, shots, seed and
+    efficiency are converted and checked as simulate_intensities checks them.
     """
 
     family: str
@@ -176,6 +178,13 @@ class IntensityTable:
             raise ValidationError("counts must be finite and non-negative")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "theta", _float(self.theta))
+        object.__setattr__(self, "shots", _count("shots", self.shots, 1, MAX_SHOTS))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        object.__setattr__(self, "efficiency", _float(self.efficiency))
+        if not (math.isfinite(self.theta) and 0.0 < self.efficiency <= 1.0):
+            raise ValidationError("theta must be finite and efficiency lie in (0, 1], got "
+                                  f"{self.theta!r} and {self.efficiency!r}")
 
     @property
     def theta_deg(self) -> float:
@@ -243,31 +252,12 @@ def simulate_intensities(
         family=family,
         counts=counts,
         theta=polar_angle(measurement),
-        shots=int(shots),
-        seed=int(seed),
+        shots=shots,
+        seed=seed,
         mode=mode,
         correction=correction_label,
-        efficiency=float(efficiency),
+        efficiency=efficiency,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class EstimatedProbabilities:
-    """Probabilities recovered from one intensity table.
-
-    Arrays are indexed in the (+1, -1) storage order. "out" is the apparatus
-    outcome mu for family A and the final outcome beta' for family B.
-    p_out and p_in_given_out are filled by bayes_invert; outcomes whose
-    marginal is exactly zero are listed in `dropped` and their posterior rows
-    zeroed, mirroring the conditional-entropy skip rule.
-    """
-
-    family: str
-    p_input: np.ndarray
-    p_out_given_in: np.ndarray
-    p_out: np.ndarray = None
-    p_in_given_out: np.ndarray = None
-    dropped: tuple = ()
 
 
 def _count_joint(counts, families: str):
@@ -291,34 +281,6 @@ def _count_joint(counts, families: str):
         raise EstimationError(
             f"input row with zero counts in family {family}; conditionals undefined")
     return n, per_input, total
-
-
-def estimate_probabilities(table: IntensityTable) -> EstimatedProbabilities:
-    """Marginalization-ratio estimators for the input distribution and the
-    forward conditionals.
-
-    Family A: p(alpha) and p(mu|alpha), summing intensities over beta'.
-    Family B: p(beta) and p(beta'|beta), summing intensities over mu.
-    """
-    n, per_input, total = _count_joint(table.counts[None], table.family)
-    return EstimatedProbabilities(family=table.family, p_input=per_input[0] / total[0],
-                                  p_out_given_in=n[0] / per_input[0, :, None])
-
-
-def bayes_invert(est: EstimatedProbabilities) -> EstimatedProbabilities:
-    """Fill the posterior p(in|out) = p(in) p(out|in) / p(out), with
-    p(out) = sum_in p(in) p(out|in).
-
-    Outcomes with p(out) = 0 are dropped (flagged, posterior row zeroed)
-    rather than raised, consistent with the entropy convention.
-    """
-    joint = est.p_input[:, None] * est.p_out_given_in  # [in, out]
-    p_out = joint.sum(axis=0)
-    keep = p_out > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_in_given_out = np.where(keep[:, None], joint.T / p_out[:, None], 0.0)
-    dropped = tuple(OUTCOMES[j] for j in np.flatnonzero(~keep))
-    return replace(est, p_out=p_out, p_in_given_out=p_in_given_out, dropped=dropped)
 
 
 def _input_entropy_given_out(counts, families: str) -> np.ndarray:

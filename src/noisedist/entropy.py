@@ -115,30 +115,6 @@ def _cond_entropy_given_last(p):
     return terms.sum(axis=(-2, -1))
 
 
-def conditional_entropy(joint, given: str = "y") -> float:
-    """Conditional Shannon entropy of a 2D joint table, in bits.
-
-    given="y" returns H(X|Y), given="x" returns H(Y|X). The table p[i, j]
-    is indexed in the (+1, -1) storage order; its entries must be
-    non-negative and sum to 1 within 1e-9.
-    """
-    arr = _floats(joint)
-    if arr.ndim != 2:
-        raise ValidationError(f"joint table must be 2-D, got shape {arr.shape}")
-    # negated in-range tests, so that NaN fails them too; entries that are
-    # non-negative and sum to 1 are finite
-    if not np.all(arr >= 0.0):
-        raise ValidationError("joint table entries must be non-negative")
-    total = float(arr.sum())
-    if not abs(total - 1.0) <= 1e-9:
-        raise ValidationError(f"joint table must sum to 1, got {total!r}")
-    if given == "y":
-        return float(_cond_entropy_given_last(arr))
-    if given == "x":
-        return float(_cond_entropy_given_last(arr.T))
-    raise ValidationError(f"given must be 'x' or 'y', got {given!r}")
-
-
 @dataclass(frozen=True)
 class NDPoint:
     """A (noise, disturbance) pair for one apparatus configuration."""

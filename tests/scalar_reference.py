@@ -18,7 +18,10 @@ index, float bit patterns]. The batched draw must give the same counts, so
 tests compare them with ==.
 
 For the ensemble oracle: the member-by-member pure-state projection behind
-its projection fields.
+its projection fields, and the entropy pair of one ensemble, the boundary's
+disturbance at a noise and the signed distance to the boundary, which the
+oracle computes for whole blocks of trials. These take their entropies from
+this module's binary_entropy and its inverse by bisection.
 
 For the binary entropy: the two masked np.where terms that binary_entropy
 evaluated before both terms shared one buffer. The array form must give the
@@ -28,8 +31,8 @@ For the serializers: the counts of an intensity table read back from its
 JSON text.
 
 Nothing here calls the kernel (`born`, `joint_tables`, `noise_bits`,
-`disturbance_bits`), the count estimator or the conditional-entropy helper
-they share.
+`disturbance_bits`), the count estimator, the conditional-entropy helper
+they share or the package's binary entropy and its inverse.
 """
 
 import json
@@ -45,6 +48,7 @@ from noisedist import (
     DomainError,
     EnsembleMember,
     ProjectiveInstrument,
+    ValidationError,
 )
 from noisedist.bloch import OUTCOMES
 from noisedist.entropy import DOMAIN_ATOL
@@ -85,6 +89,23 @@ def binary_entropy(x):
     arr = np.clip(arr, -1.0, 1.0)
     out = _neg_p_log2_p((1.0 + arr) / 2.0) + _neg_p_log2_p((1.0 - arr) / 2.0)
     return float(out) if np.ndim(x) == 0 else out
+
+
+def binary_entropy_inverse(y):
+    """g(y), the x in [0, 1] with h(x) = y, by bisection on binary_entropy,
+    which falls on [0, 1]; 100 halvings leave a bracket 2**-100 wide. y
+    outside [0, 1] up to DOMAIN_ATOL (NaN included) raises DomainError."""
+    arr = np.asarray(y, dtype=float)
+    if np.any(~((arr >= -DOMAIN_ATOL) & (arr <= 1.0 + DOMAIN_ATOL))):
+        raise DomainError("binary_entropy_inverse argument must lie in [0, 1]")
+    arr = np.clip(arr, 0.0, 1.0)
+    lo, hi = np.zeros(arr.shape), np.ones(arr.shape)
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        above = binary_entropy(mid) > arr  # h(mid) > y: the root lies right of mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    x = np.where(arr == 1.0, 0.0, np.where(arr == 0.0, 1.0, (lo + hi) / 2.0))
+    return float(x) if np.ndim(y) == 0 else x
 
 
 def scalar_joint(state, inst, second):
@@ -187,6 +208,32 @@ def pure_state_projection(members):
         rz = sign * math.sqrt(max(1.0 - ry * ry, 0.0))
         out.append(EnsembleMember(m.weight, BlochVector(0.0, ry, rz)))
     return out
+
+
+def ensemble_point(members):
+    """(sum_m p_m h(r_m . z), sum_m p_m h(r_m . y)) of a list of
+    EnsembleMembers, member by member; weights that do not sum to 1 within
+    1e-9 raise ValidationError."""
+    total = sum(m.weight for m in members)
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"ensemble weights must sum to 1, got {total!r}")
+    n = sum(m.weight * binary_entropy(m.state.z) for m in members)
+    d = sum(m.weight * binary_entropy(m.state.y) for m in members)
+    return (float(n), float(d))
+
+
+def boundary_disturbance(noise_bits):
+    """h(sqrt(1 - g[N]^2)): the least disturbance the tight relation allows
+    at noise N, the boundary's disturbance there."""
+    g = binary_entropy_inverse(noise_bits)
+    return binary_entropy(np.sqrt(np.clip(1.0 - g * g, 0.0, 1.0)))
+
+
+def signed_boundary_distance(noise_bits, disturbance_bits):
+    """D - boundary_disturbance(N) in bits, negative below the boundary. N
+    and D must both lie in [0, 1] bits (DomainError)."""
+    binary_entropy_inverse(disturbance_bits)  # the domain check of D
+    return disturbance_bits - boundary_disturbance(noise_bits)
 
 
 def counts_from_json(text):

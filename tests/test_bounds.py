@@ -28,25 +28,28 @@ from noisedist import (
     ValidationError,
     binary_entropy,
     boundary_curve,
-    boundary_disturbance,
     c_ab,
     check_bounds,
     correction_grid_search,
     disturbance,
     disturbance_surface,
     ensemble_boundary_oracle,
-    ensemble_point,
     maassen_uffink_compare,
     optimal_correction,
     polar_observable,
-    signed_boundary_distance,
     tight_value,
     variational_f,
 )
-from noisedist.bounds import _member_sum
+from noisedist.bounds import _boundary_disturbance_of_g, _member_sum
 from noisedist.cli import main
 from noisedist.tables import write_table
-from scalar_reference import pure_state_projection, scalar_disturbance
+from scalar_reference import (
+    boundary_disturbance,
+    ensemble_point,
+    pure_state_projection,
+    scalar_disturbance,
+    signed_boundary_distance,
+)
 
 H_HALF = 0.81127812445913286
 H_SIN45 = 0.6008760366928561
@@ -415,10 +418,22 @@ class TestBoundaryCurve:
         assert boundary_disturbance(0.0) == 1.0
         assert boundary_disturbance(1.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_oracle_route_matches_the_scalar_boundary_disturbance(self):
+        # the route ensemble_boundary_oracle takes from N to the boundary's D
+        from noisedist import binary_entropy_inverse
+
+        n = np.concatenate([[0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0], np.linspace(0.0, 1.0, 257)])
+        routed = _boundary_disturbance_of_g(binary_entropy_inverse(n))
+        assert np.max(np.abs(routed - boundary_disturbance(n))) <= 1e-12
+        assert (routed[0], routed[4]) == (1.0, 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, -0.5])
     def test_signed_distance_rejects_disturbance_outside_the_bits(self, bad):
+        # the oracle's inverse-entropy call checks the bits, as tight_value's does
         with pytest.raises(DomainError):
             signed_boundary_distance(0.5, bad)
+        with pytest.raises(DomainError):
+            tight_value(0.5, bad)
 
     def test_sample_validation(self):
         with pytest.raises(ValidationError):

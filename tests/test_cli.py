@@ -410,6 +410,18 @@ class TestSimulate:
         p = counts[0].sum(axis=0)[0] / counts[0].sum()
         assert p == pytest.approx((1 + math.sin(math.radians(50.0))) / 2, abs=1e-12)
 
+    def test_theta_label_keeps_the_sign_of_the_axis(self, tmp_path):
+        # +-30 degrees are different axes with different counts
+        labels = {}
+        for theta in ("30", "-30", "200"):
+            out = tmp_path / f"{theta}.json"
+            run_ok(["simulate", "--theta", theta, "--mode", "exact", "--shots", "100",
+                    "--format", "json", "--out", str(out)])
+            labels[theta] = json.loads(out.read_text())["theta_deg"]
+        assert labels["30"] == pytest.approx(30.0, abs=1e-12)
+        assert labels["-30"] == pytest.approx(-30.0, abs=1e-12)
+        assert labels["200"] == pytest.approx(-160.0, abs=1e-12)
+
     def test_validation(self):
         run_usage_error(["simulate", "--family", "Q"])
         run_usage_error(["simulate", "--efficiency", "0"])

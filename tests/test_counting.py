@@ -17,8 +17,6 @@ from noisedist import (
     EstimationError,
     IntensityTable,
     ValidationError,
-    bayes_invert,
-    estimate_probabilities,
     nd_from_counts,
     optimal_correction,
     polar_angle,
@@ -28,18 +26,18 @@ from noisedist import (
     theory_disturbance_uncorrected,
     theory_noise,
 )
-from noisedist.bloch import OUTCOMES
 import noisedist.counting
 from noisedist.cli import _make_correction, _sweep_targets
 from noisedist.counting import (
     CSV_HEADER,
     MAX_SHOTS,
     MODES,
-    EstimatedProbabilities,
+    _count_joint,
     _draw_counts,
     _input_entropy_given_out,
     _stream_words,
 )
+from noisedist.entropy import _cond_entropy_given_last
 from scalar_reference import (
     bayes_entropy,
     counts_from_json,
@@ -183,7 +181,7 @@ class TestSimulate:
         assert type(table.seed) is int and type(table.shots) is int
 
     def test_polar_angle_round_trip(self):
-        for deg in (0.0, 50.0, 90.0, 180.0):
+        for deg in (0.0, 50.0, 90.0, 180.0, -30.0, -150.0):
             assert math.degrees(polar_angle(polar_observable(math.radians(deg)))) == (
                 pytest.approx(deg, abs=1e-12))
 
@@ -295,86 +293,92 @@ class TestBatchedDraw:
                 _draw_counts(seeds, families, axes, targets, 10, "multinomial")
 
 
+def _channel(table):
+    """p(input) and p(out|input) of one table, from the count joint."""
+    n, per_input, total = _count_joint(table.counts[None], table.family)
+    return per_input[0] / total[0], n[0] / per_input[0, :, None]
+
+
+def _posterior(table):
+    """p(out) and p(input|out) of one table, indexed [out, input], from the count joint."""
+    n, _, total = _count_joint(table.counts[None], table.family)
+    return n[0].sum(axis=0) / total[0], (n[0] / n[0].sum(axis=0)).T
+
+
 class TestEstimators:
     def test_theta_zero_is_deterministic_channel(self):
         table, _ = make_tables(0.0, 1000, 0, "exact")
-        est = estimate_probabilities(table)
-        assert np.allclose(est.p_out_given_in, np.eye(2), atol=1e-15)
-        assert np.allclose(est.p_input, [0.5, 0.5], atol=1e-15)
+        p_input, p_out_given_in = _channel(table)
+        assert np.allclose(p_out_given_in, np.eye(2), atol=1e-15)
+        assert np.allclose(p_input, [0.5, 0.5], atol=1e-15)
+        assert _input_entropy_given_out(table.counts[None], "A")[0] == 0.0
 
     def test_sixty_degrees(self):
         table, _ = make_tables(60.0, 1000, 0, "exact")
-        est = estimate_probabilities(table)
-        assert est.p_out_given_in[0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert _channel(table)[1][0, 0] == pytest.approx(0.75, abs=1e-12)
+        assert _input_entropy_given_out(table.counts[None], "A")[0] == pytest.approx(
+            theory_noise(math.radians(60.0)), abs=1e-12)
 
     def test_family_b_identity_channel_is_sin_squared(self):
         # p(beta'|beta) = (1 + beta' beta sin^2(50 deg)) / 2
         _, table = make_tables(50.0, 1000, 0, "exact")
-        est = estimate_probabilities(table)
         s2 = math.sin(math.radians(50.0)) ** 2
         expected = np.array([[(1 + s2) / 2, (1 - s2) / 2], [(1 - s2) / 2, (1 + s2) / 2]])
-        assert np.allclose(est.p_out_given_in, expected, atol=1e-12)
+        assert np.allclose(_channel(table)[1], expected, atol=1e-12)
+        assert _input_entropy_given_out(table.counts[None], "B")[0] == pytest.approx(
+            theory_disturbance_uncorrected(math.radians(50.0)), abs=1e-12)
 
     def test_rows_are_normalized(self):
         for mode in ("exact", "multinomial", "poisson"):
             table, _ = make_tables(40.0, 2000, 1, mode)
-            est = estimate_probabilities(table)
-            assert np.allclose(est.p_out_given_in.sum(axis=1), 1.0, atol=1e-9)
+            p_input, p_out_given_in = _channel(table)
+            assert np.allclose(p_out_given_in.sum(axis=1), 1.0, atol=1e-9)
+            assert p_input.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_input_row_raises(self):
         counts = np.zeros((2, 2, 2))
         counts[0, 0, 0] = 10.0
-        table = IntensityTable("A", counts, 0.0, 10, 0, "multinomial")
         with pytest.raises(EstimationError):
-            estimate_probabilities(table)
+            _input_entropy_given_out(counts[None], "A")
 
 
 class TestBayes:
+    """The posterior p(input|out) read off the count joint, as the ratio and
+    Bayes route of scalar_reference.bayes_entropy computes it."""
+
     def test_symmetric_channel_posterior_equals_forward(self):
         for deg in (20.0, 50.0, 70.0):
             table, _ = make_tables(deg, 1000, 0, "exact")
-            est = bayes_invert(estimate_probabilities(table))
-            assert np.allclose(est.p_in_given_out, est.p_out_given_in.T, atol=1e-12)
-            assert np.allclose(est.p_out, [0.5, 0.5], atol=1e-12)
+            p_out, p_in_given_out = _posterior(table)
+            assert np.allclose(p_in_given_out, _channel(table)[1].T, atol=1e-12)
+            assert np.allclose(p_out, [0.5, 0.5], atol=1e-12)
 
     def test_degenerate_prior_pins_posterior(self):
-        est = EstimatedProbabilities(
-            family="A",
-            p_input=np.array([1.0, 0.0]),
-            p_out_given_in=np.array([[0.7, 0.3], [0.2, 0.8]]),
-        )
-        inv = bayes_invert(est)
-        assert np.allclose(inv.p_in_given_out, [[1.0, 0.0], [1.0, 0.0]], atol=1e-15)
-        assert inv.dropped == ()
-
-    def test_zero_marginal_outcome_dropped_with_flag(self):
-        est = EstimatedProbabilities(
-            family="A",
-            p_input=np.array([0.5, 0.5]),
-            p_out_given_in=np.array([[1.0, 0.0], [1.0, 0.0]]),
-        )
-        inv = bayes_invert(est)
-        assert inv.dropped == (-1,)
-        assert np.allclose(inv.p_in_given_out[1], 0.0)
+        # only input +1 sent: the output leaves no doubt about the input
+        joint = np.array([[0.7, 0.3], [0.0, 0.0]])  # p(input, out)
+        assert _cond_entropy_given_last(joint) == 0.0
 
     def test_sampled_family_b_posterior_matches_channel_formula(self):
         # p(beta|beta') for the uncorrected chain is (1 + beta' beta sin^2(50))/2,
         # up to counting noise
         _, table = make_tables(50.0, 10**6, 0, "multinomial")
-        est = bayes_invert(estimate_probabilities(table))
         s2 = math.sin(math.radians(50.0)) ** 2
         expected = np.array([[(1 + s2) / 2, (1 - s2) / 2], [(1 - s2) / 2, (1 + s2) / 2]])
-        assert np.max(np.abs(est.p_in_given_out - expected)) < 0.01
+        assert np.max(np.abs(_posterior(table)[1] - expected)) < 0.01
 
     def test_bayes_consistency_for_sampled_tables(self):
-        # p(in|out) p(out) == p(out|in) p(in)
+        # p(in|out) p(out) == p(out|in) p(in), and the count estimator's
+        # entropy is the Bayes route's
         for mode in ("multinomial", "poisson"):
             for deg in PAPER_GRID_DEG:
                 table, _ = make_tables(float(deg), 5000, 2, mode)
-                est = bayes_invert(estimate_probabilities(table))
-                lhs = est.p_in_given_out * est.p_out[:, None]
-                rhs = (est.p_out_given_in * est.p_input[:, None]).T
+                p_input, p_out_given_in = _channel(table)
+                p_out, p_in_given_out = _posterior(table)
+                lhs = p_in_given_out * p_out[:, None]
+                rhs = (p_out_given_in * p_input[:, None]).T
                 assert np.allclose(lhs, rhs, atol=1e-9)
+                h = _input_entropy_given_out(table.counts[None], "A")[0]
+                assert abs(h - bayes_entropy(table.counts, "A")) <= 1e-15
 
 
 class TestNDFromCounts:
@@ -477,9 +481,6 @@ class TestCountEstimator:
             h = _input_entropy_given_out(counts[None], family)[0]
             assert 0.0 < h < 1.0
             assert abs(h - bayes_entropy(counts, family)) <= 1e-15
-            est = bayes_invert(estimate_probabilities(IntensityTable(
-                family, counts, 0.0, 10, 0, "exact")))
-            assert est.dropped == (OUTCOMES[outcome],)
 
     @given(st.lists(COUNT_TABLES, min_size=6, max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -559,6 +560,22 @@ class TestSerialization:
             IntensityTable("A", np.zeros((2, 2)), 0.0, 10, 0, "exact")
         with pytest.raises(ValidationError):
             IntensityTable("A", -np.ones((2, 2, 2)), 0.0, 10, 0, "exact")
+
+    @pytest.mark.parametrize("label", [
+        {"theta": "0.5"}, {"theta": math.inf}, {"shots": 0}, {"shots": 10.0}, {"seed": -1},
+        {"efficiency": [1, 2]}, {"efficiency": 0.0}, {"efficiency": 1.5},
+    ], ids=["theta-text", "theta-inf", "shots-0", "shots-float", "seed-negative",
+            "efficiency-list", "efficiency-0", "efficiency-1.5"])
+    def test_labels_are_checked(self, label):
+        labels = {"theta": 0.5, "shots": 10, "seed": 0, "efficiency": 1.0, **label}
+        with pytest.raises(ValidationError):
+            IntensityTable("A", np.ones((2, 2, 2)), mode="exact", **labels)
+
+    def test_labels_are_converted(self):
+        t = IntensityTable("A", np.ones((2, 2, 2)), np.float64(0.5), np.int64(10), np.uint8(3),
+                           "exact", efficiency=1)
+        assert [type(v) for v in (t.theta, t.shots, t.seed, t.efficiency)] == [float, int, int, float]
+        assert json.loads(t.to_json())["efficiency"] == 1.0
 
     def test_table_keeps_its_own_counts(self):
         counts = np.ones((2, 2, 2))

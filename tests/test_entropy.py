@@ -22,7 +22,6 @@ from noisedist import (
     binary_entropy,
     binary_entropy_derivative,
     binary_entropy_inverse,
-    conditional_entropy,
     disturbance,
     disturbance_bits,
     joint_tables,
@@ -260,44 +259,18 @@ class TestDerivative:
 
 class TestConditionalEntropy:
     def test_perfectly_correlated(self):
-        assert conditional_entropy([[0.5, 0.0], [0.0, 0.5]], given="y") == 0.0
+        assert _cond_entropy_given_last(np.array([[0.5, 0.0], [0.0, 0.5]])) == 0.0
 
     def test_uniform_independent(self):
-        assert conditional_entropy(np.full((2, 2), 0.25), given="y") == 1.0
+        assert _cond_entropy_given_last(np.full((2, 2), 0.25)) == 1.0
 
     def test_binary_symmetric_channel_at_60_degrees(self):
         c = math.cos(math.radians(60.0))
         p = 0.5 * np.array([[(1 + c) / 2, (1 - c) / 2], [(1 - c) / 2, (1 + c) / 2]])
-        assert conditional_entropy(p, given="y") == pytest.approx(H_HALF, abs=1e-12)
+        assert _cond_entropy_given_last(p) == pytest.approx(H_HALF, abs=1e-12)
 
     def test_zero_marginal_column_skipped(self):
-        assert conditional_entropy([[0.5, 0.0], [0.5, 0.0]], given="y") == 1.0
-
-    def test_given_x_transposes(self):
-        p = np.array([[0.4, 0.1], [0.2, 0.3]])
-        assert conditional_entropy(p, given="x") == pytest.approx(
-            conditional_entropy(p.T, given="y"), abs=1e-15)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValidationError, match="non-negative"):
-            conditional_entropy(np.array([[0.6, -0.1], [0.3, 0.2]]), given="y")
-
-    def test_table_must_sum_to_one(self):
-        with pytest.raises(ValidationError, match="must sum to 1, got 2.0"):
-            conditional_entropy(np.array([[0.5, 0.5], [0.5, 0.5]]), given="y")
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        # NaN passes both "< 0" and "|total - 1| > 1e-9"; it must raise
-        p = np.array([[0.5, 0.0], [0.5, bad]])
-        with pytest.raises(ValidationError):
-            conditional_entropy(p, given="y")
-
-    def test_table_must_be_two_dimensional(self):
-        with pytest.raises(ValidationError, match=r"2-D, got shape \(4,\)"):
-            conditional_entropy(np.full(4, 0.25))
-        with pytest.raises(ValidationError, match="2-D"):
-            conditional_entropy(np.full((2, 2, 2), 0.125))
+        assert _cond_entropy_given_last(np.array([[0.5, 0.0], [0.5, 0.0]])) == 1.0
 
     @given(st.lists(st.sampled_from([0.0, 1e-300, 1e-17, 0.25, 1.0]) | st.floats(0.0, 1.0),
                     min_size=12, max_size=12))
@@ -307,10 +280,6 @@ class TestConditionalEntropy:
         for shape in ((3, 2, 2), (2, 3, 2)):
             p = np.array(cells).reshape(shape)
             assert np.array_equal(_cond_entropy_given_last(p), cond_entropy_given_last(p))
-
-    def test_bad_axis_name(self):
-        with pytest.raises(ValidationError):
-            conditional_entropy(np.full((2, 2), 0.25), given="z")
 
 
 class TestNoise:

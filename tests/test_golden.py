@@ -279,6 +279,11 @@ SIMD_COMMANDS = [
     ["boundary", "--samples", "1001", "--format", "json"],
     GOLDEN["simulate-json"][0],
 ]
+# verify prints rounded decimals, so only its checks' names and verdicts,
+# its summary line and its exit code are compared; the oracle report is
+# compared as the outputs are
+SIMD_VERIFY = ["verify", "--trials", "2000", "--shots", "10000", "--seed", "1"]
+SIMD_ORACLE = (5000, 4, 3)
 
 
 def _parsed(argv, path):
@@ -313,30 +318,49 @@ def _skeleton(value, floats):
     return type(value), value
 
 
+def _verify_verdicts(text):
+    """(PASS or FAIL, name) of each check of verify's report, and its summary line."""
+    *checks, summary = text.splitlines()
+    return [tuple(line.split()[:2]) for line in checks], summary
+
+
 def test_outputs_agree_at_a_lower_simd_level(tmp_path):
     """The table of every subcommand, written by a child at the default SIMD
     dispatch level and by one with numpy's AVX512 kernels off: headers, keys,
     row counts, flags, ints and text match exactly, and each float to within
-    4 ulp of max(|value|, 1), the scale of one bit. The setting acts on the
-    child alone; on a CPU without those features both children run at one
-    level, and a numpy that refuses the setting skips."""
+    4 ulp of max(|value|, 1), the scale of one bit. So do the fields of an
+    ensemble_boundary_oracle report, and verify gives the same verdicts and
+    exit code. The setting acts on the child alone; on a CPU without those
+    features both children run at one level, and a numpy that refuses the
+    setting skips."""
     src = str(Path(noisedist.cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    parsed = []
+    parsed, verdicts = [], []
     for level, extra in enumerate([{}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4"}]):
         outs = [tmp_path / f"{level}-{i}" for i in range(len(SIMD_COMMANDS))]
-        script = ("from noisedist.cli import main\n"
+        verify_out, oracle_out = tmp_path / f"{level}-verify", tmp_path / f"{level}-oracle"
+        script = ("import contextlib, dataclasses, json\n"
+                  "from noisedist import ensemble_boundary_oracle\n"
+                  "from noisedist.cli import main\n"
                   f"for argv, out in zip({SIMD_COMMANDS!r}, {list(map(str, outs))!r}):\n"
-                  "    assert main([*argv, '--out', out]) == 0, argv\n")
+                  "    assert main([*argv, '--out', out]) == 0, argv\n"
+                  f"with open({str(verify_out)!r}, 'w') as stream, contextlib.redirect_stdout(stream):\n"
+                  f"    code = main({SIMD_VERIFY!r})\n"
+                  f"report = dataclasses.asdict(ensemble_boundary_oracle(*{SIMD_ORACLE!r}))\n"
+                  f"with open({str(oracle_out)!r}, 'w') as stream:\n"
+                  "    json.dump([code, report], stream)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(env, **extra), timeout=120)
         if proc.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in proc.stderr:
             pytest.skip("numpy refuses NPY_DISABLE_CPU_FEATURES here")
         assert proc.returncode == 0, proc.stderr
-        parsed.append([_parsed(argv, out) for argv, out in zip(SIMD_COMMANDS, outs)])
-    for argv, default, lower in zip(SIMD_COMMANDS, *parsed):
+        code, report = json.loads(oracle_out.read_text())
+        verdicts.append((code, _verify_verdicts(verify_out.read_text())))
+        parsed.append([_parsed(argv, out) for argv, out in zip(SIMD_COMMANDS, outs)] + [report])
+    assert verdicts[0] == verdicts[1]
+    for argv, default, lower in zip(SIMD_COMMANDS + [SIMD_ORACLE], *parsed):
         floats = [], []
         assert _skeleton(default, floats[0]) == _skeleton(lower, floats[1]), argv
         a, b = map(np.array, floats)

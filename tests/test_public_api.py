@@ -1,8 +1,8 @@
 """The public surface of noisedist, its import graph, and the names the
 benchmark's span tracer (perfbench/tracing.py) patches by name. A name
 removed from the package must be removed from this list on purpose; a name
-the tracer lists must keep resolving, or traced benchmark runs break.
-tracing.py is only read here."""
+the tracer lists must keep resolving, or traced benchmark runs break, unless
+STALE_TRACED lists it. tracing.py is only read here."""
 
 import ast
 import graphlib
@@ -17,22 +17,24 @@ from test_tracing import _load_tracing
 
 PUBLIC_NAMES = [
     "BlochVector", "BoundaryCurve", "BoundarySolverState", "CorrectionMap", "DomainError",
-    "EnsembleMember", "EstimatedProbabilities", "EstimationError", "GridSearchResult",
-    "IntensityTable", "MaassenUffinkReport", "NDPoint", "NoiseDistError", "OUTCOMES",
-    "Observable", "OracleReport", "ProjectiveInstrument", "PureState", "SIGMA_Y", "SIGMA_Z",
-    "ValidationError", "bayes_invert", "binary_entropy", "binary_entropy_derivative",
-    "binary_entropy_inverse", "boundary_curve", "boundary_disturbance", "c_ab",
-    "check_bounds", "conditional_entropy", "correction_grid_search", "disturbance",
-    "disturbance_bits", "disturbance_surface", "ensemble_boundary_oracle", "ensemble_point",
-    "estimate_probabilities", "joint_tables", "maassen_uffink_compare", "nd_from_counts",
-    "noise", "noise_bits", "optimal_correction", "polar_angle", "polar_observable",
-    "signed_boundary_distance", "simulate_intensities", "theory_disturbance_optimal",
+    "EnsembleMember", "EstimationError", "GridSearchResult", "IntensityTable",
+    "MaassenUffinkReport", "NDPoint", "NoiseDistError", "OUTCOMES", "Observable",
+    "OracleReport", "ProjectiveInstrument", "PureState", "SIGMA_Y", "SIGMA_Z",
+    "ValidationError", "binary_entropy", "binary_entropy_derivative", "binary_entropy_inverse",
+    "boundary_curve", "c_ab", "check_bounds", "correction_grid_search", "disturbance",
+    "disturbance_bits", "disturbance_surface", "ensemble_boundary_oracle", "joint_tables",
+    "maassen_uffink_compare", "nd_from_counts", "noise", "noise_bits", "optimal_correction",
+    "polar_angle", "polar_observable", "simulate_intensities", "theory_disturbance_optimal",
     "theory_disturbance_uncorrected", "theory_noise", "tight_value", "variational_f",
     "variational_solver_state",
 ]
 
 # GROUPS keys naming functions the package no longer has; their groups read 0
-STALE_TRACED = {"entropy.sequential_joint", "bounds.surface_to_csv", "bounds.boundary_to_csv"}
+STALE_TRACED = {
+    "entropy.sequential_joint", "entropy.conditional_entropy", "counting.estimate_probabilities",
+    "counting.bayes_invert", "bounds.surface_to_csv", "bounds.boundary_to_csv",
+    "bounds.ensemble_point", "bounds.signed_boundary_distance", "bounds.boundary_disturbance",
+}
 
 
 def test_public_names_are_pinned():
@@ -56,7 +58,7 @@ def test_every_traced_name_resolves():
     traced = set(tracing.GROUPS)
     traced |= {f"{layer}.{cls}.{method}" for layer, classes in tracing.METHODS.items()
                for cls, methods in classes.items() for method in methods}
-    assert {name for name in traced if not _resolves(name)} <= STALE_TRACED
+    assert {name for name in traced if not _resolves(name)} == STALE_TRACED
 
 
 def test_package_imports_form_no_cycle():

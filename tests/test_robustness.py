@@ -28,18 +28,15 @@ from noisedist import (
     binary_entropy_derivative,
     binary_entropy_inverse,
     boundary_curve,
-    boundary_disturbance,
     check_bounds,
     correction_grid_search,
     disturbance_bits,
     disturbance_surface,
     ensemble_boundary_oracle,
-    ensemble_point,
     joint_tables,
     maassen_uffink_compare,
     noise_bits,
     polar_observable,
-    signed_boundary_distance,
     theory_disturbance_optimal,
     theory_disturbance_uncorrected,
     theory_noise,
@@ -62,10 +59,6 @@ FUNCTIONS = {
     "binary_entropy_inverse": (binary_entropy_inverse, 1, (0.0, 1.0), True),
     "tight_value": (tight_value, 2, (0.0, 2.0), True),
     "check_bounds": (lambda n, d: check_bounds(n, d)[0], 2, (0.0, 2.0), True),
-    "boundary_disturbance": (boundary_disturbance, 1, (0.0, 1.0), True),
-    # the disturbance may sit 1e-12 outside [0, 1] bits, and the distance with it
-    "signed_boundary_distance": (
-        signed_boundary_distance, 2, (-1.0 - 1e-12, 1.0 + 1e-12), True),
     "variational_f": (variational_f, 1, (0.0, math.inf), True),
     "theory_noise": (theory_noise, 1, (0.0, 1.0), True),
     "theory_disturbance_uncorrected": (theory_disturbance_uncorrected, 1, (0.0, 1.0), True),
@@ -82,10 +75,6 @@ FUNCTIONS = {
     "disturbance_bits": (
         lambda m, t: disturbance_bits(m, [t, t]), 2, (0.0, 1.0 + 1e-12), True),
     "joint_tables": (lambda i, t: joint_tables([i, i], [t, t]), 2, (0.0, 1.0), True),
-    "ensemble_point": (
-        lambda w, r: ensemble_point([EnsembleMember(w, BlochVector(0.0, r, 0.0)),
-                                     EnsembleMember(w, BlochVector(0.0, 0.0, r))]),
-        2, (0.0, 1.0), False),
 }
 
 
@@ -273,8 +262,8 @@ def test_oversized_requests_raise_before_allocating(name):
 # Every public numeric entry point, with valid arguments of which the property
 # below replaces any set: name -> (function, valid arguments, the argument
 # positions that must hold numbers). Each FUNCTIONS entry takes 0.5 at every
-# position. IntensityTable converts its counts; its theta, shots, seed and
-# efficiency are labels it stores as given.
+# position. IntensityTable converts its counts and its theta, shots, seed and
+# efficiency labels.
 _STATE = variational_solver_state(0.3)
 ENTRY_POINTS = {
     **{name: (func, (0.5,) * arity, range(arity))
@@ -283,8 +272,6 @@ ENTRY_POINTS = {
         lambda n, d, t: check_bounds(n, d, tolerance=t), (0.5, 0.5, 1e-9), range(3)),
     "disturbance_bits(direct)": (disturbance_bits, (0.5, [0.5, -0.5]), range(2)),
     "joint_tables(direct)": (joint_tables, ([0.5, -0.5], [0.5, -0.5]), range(2)),
-    "ensemble_point(direct)": (
-        ensemble_point, ([EnsembleMember(1.0, BlochVector(0.0, 0.0, 1.0))],), range(1)),
     "BlochVector": (BlochVector, (0.0, 0.6, 0.8), range(3)),
     "NDPoint": (NDPoint, (0.5, 0.5), range(2)),
     "EnsembleMember": (EnsembleMember, (1.0, BlochVector(0.0, 0.0, 1.0)), range(2)),
@@ -293,7 +280,7 @@ ENTRY_POINTS = {
     "IntensityTable": (
         lambda counts, theta, shots, seed, efficiency: IntensityTable(
             "A", counts, theta, shots, seed, "exact", efficiency=efficiency),
-        (np.ones((2, 2, 2)), 0.5, 10, 0, 1.0), range(1)),
+        (np.ones((2, 2, 2)), 0.5, 10, 0, 1.0), range(5)),
 }
 
 # Values that are not numbers: text (a number's too), None, complex, objects
