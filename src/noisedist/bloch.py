@@ -132,7 +132,11 @@ def born(overlap):
     p(-1) = (1 - r . n)/2. |r . n| may exceed 1 by 1e-12 (the result is
     clipped to [0, 1]); anything else, NaN included, raises ValidationError.
     """
-    x = _floats(overlap)
+    return _born(_floats(overlap))
+
+
+def _born(x):
+    """born of the float64 array x, which the caller has converted."""
     # written as an in-range test so that NaN fails it too
     if not (np.abs(x) <= 1.0 + UNIT_ATOL).all():
         raise ValidationError("Bloch overlaps must be finite with |r . n| <= 1")

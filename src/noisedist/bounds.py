@@ -25,9 +25,9 @@ from .bloch import (
 )
 from .entropy import (
     _eigen_pair,
+    _entropy_inverse,
     binary_entropy,
     binary_entropy_derivative,
-    binary_entropy_inverse,
     disturbance_bits,
 )
 from .errors import DomainError, ValidationError, _count, _float, _floats
@@ -145,7 +145,7 @@ def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> Gr
 
 def _inverse_pair(n, d):
     """(g[N], g[D]) of the float arrays n and d, in their shapes, from one inverse-entropy call."""
-    g = binary_entropy_inverse(np.concatenate([n.ravel(), d.ravel()]))
+    g = _entropy_inverse(np.concatenate([n.ravel(), d.ravel()]))
     return g[:n.size].reshape(n.shape), g[n.size:].reshape(d.shape)
 
 
@@ -157,7 +157,12 @@ def tight_value(noise_bits, disturbance_bits):
     boundary. One inverse-entropy call covers both arguments; bits outside
     [0, 1] (beyond 1e-12 slack) raise DomainError.
     """
-    g_n, g_d = _inverse_pair(*_floats(noise_bits, disturbance_bits))
+    return _tight(*_floats(noise_bits, disturbance_bits))
+
+
+def _tight(n, d):
+    """tight_value of the float64 arrays n and d, which the caller has converted."""
+    g_n, g_d = _inverse_pair(n, d)
     tight = g_n * g_n + g_d * g_d
     return float(tight) if tight.ndim == 0 else tight
 
@@ -181,7 +186,7 @@ def check_bounds(
     n, d, slack = _floats(noise_bits, disturbance_bits, tolerance)
     if not ((slack >= 0.0) & (slack < math.inf)).all():  # NaN fails both
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    tight = tight_value(n, d)
+    tight = _tight(n, d)
     general = n + d >= c_ab(a, b) - slack
     satisfied = tight <= 1.0 + slack
     if general.ndim == 0:
@@ -217,8 +222,8 @@ class BoundarySolverState:
     theta_m are the member angles (radians) of the extremal pure-state
     ensembles, parametrized by r = (0, cos t, sin t) in the y-z plane; kappa
     and lam are the multipliers of the disturbance constraint and the weight
-    normalization. There is at least one member, kappa and lam are finite,
-    and every retained angle satisfies f(theta_m) = kappa within 1e-8; any
+    normalization. There is at least one member, the members, kappa and lam
+    are finite, and every retained angle satisfies f(theta_m) = kappa within 1e-8; any
     weights over these angles give the same boundary point.
     """
 
@@ -231,11 +236,13 @@ class BoundarySolverState:
         object.__setattr__(self, "theta_m", tuple(np.ravel(t).tolist()))
         for name in ("kappa", "lam"):
             object.__setattr__(self, name, _float(getattr(self, name)))
-        # with no members the stationarity check below has nothing to check
-        if t.ndim != 1 or not t.size or not (math.isfinite(self.kappa) and math.isfinite(self.lam)):
+        # with no members the stationarity check below has nothing to check,
+        # and a non-finite member has no sine to fold
+        if (t.ndim != 1 or not t.size or not np.isfinite(t).all()
+                or not (math.isfinite(self.kappa) and math.isfinite(self.lam))):
             raise ValidationError(
-                "a solver state needs a sequence of at least one member and finite kappa and "
-                f"lam, got theta_m={self.theta_m!r}, kappa={self.kappa!r}, lam={self.lam!r}")
+                "a solver state needs a sequence of at least one finite member and finite kappa "
+                f"and lam, got theta_m={self.theta_m!r}, kappa={self.kappa!r}, lam={self.lam!r}")
         # f depends on t only through |sin t| and |cos t| (h'(x)/x is even), so
         # each member folds into [0, pi/2]; multiples of pi/2 land on f's poles
         folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
@@ -293,8 +300,8 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     theta = np.linspace(0.0, math.pi / 2, _count("samples", samples, 2, MAX_SURFACE_CELLS))
     return BoundaryCurve(
         theta,
-        _row_blocks(lambda t: binary_entropy(np.cos(t)), np.empty(theta.size), theta),
-        _row_blocks(lambda t: binary_entropy(np.sin(t)), np.empty(theta.size), theta),
+        _row_blocks(lambda t: binary_entropy(np.cos(t)), theta),
+        _row_blocks(lambda t: binary_entropy(np.sin(t)), theta),
     )
 
 
@@ -382,8 +389,11 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     included), computes their (N*, D*) points, and records the extremes of
     the signed boundary distance together with the pure-state-projection
     diagnostics. Vectorized over blocks of trials; deterministic for fixed
-    arguments. At most MAX_TRIALS trials and MAX_SURFACE_CELLS members
-    (trials x max_members).
+    arguments. The sizes, gammas and normals are drawn whole; the uniforms,
+    the stream's last draws, a block at a time, so the oracle holds the
+    first three (sizes in their least dtype), a distance per trial and one
+    block's temporaries. At most MAX_TRIALS trials and MAX_SURFACE_CELLS
+    members (trials x max_members).
 
     Expected outcome (see OracleReport): the projection lemma holds for every
     member of every trial and single-member points never fall below the
@@ -396,15 +406,16 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     _count("trials x max_members", trials * max_members, 1, MAX_SURFACE_CELLS)
     rng = np.random.default_rng(np.random.SeedSequence(_count("seed", seed, 0)))
 
-    # all draws whole and in this order, so the stream does not depend on the
-    # blocks; the normals become Bloch vectors and gamma the weights in place.
-    # exponential(1.0), normal() and uniform() draw the same stream and scale
-    # it by exact ones (a standard normal of exactly -0.0, one draw in 2**53,
-    # would come out +0.0 from normal())
-    sizes = rng.integers(1, max_members + 1, size=trials)
+    # sizes, gammas and normals whole; the uniforms, the stream's last draws,
+    # a block at a time, which gives the numbers of one whole draw, so the
+    # stream does not depend on the blocks. sizes are kept in the least
+    # dtype that holds max_members; the normals become Bloch vectors and
+    # gamma the weights in place. exponential(1.0), normal() and uniform()
+    # draw the same stream and scale it by exact ones (a standard normal of
+    # exactly -0.0, one draw in 2**53, would come out +0.0 from normal())
+    sizes = rng.integers(1, max_members + 1, size=trials).astype(np.min_scalar_type(max_members))
     gamma = rng.standard_exponential(size=(trials, max_members))
     normals = rng.standard_normal(size=(trials, max_members, 3))
-    uniform = rng.random(size=(trials, max_members))
 
     # what the report needs across blocks besides the distances: the largest
     # tight excess, projection noise increase, member noise increase and
@@ -412,38 +423,42 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
     highs = np.full(4, -np.inf)
     least_sum = np.full(1, np.inf)
 
-    def trial_rows(size, weights, bloch, radius_draw):
-        active = np.arange(max_members)[None, :] < size[:, None]
+    def trial_rows(size, weights, bloch):
+        active = np.arange(max_members, dtype=size.dtype)[None, :] < size[:, None]
         weights *= active
         weights /= _member_sum(weights)[:, None]
         # the sum of squares as np.linalg.norm associates it, without its passes
         x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
         bloch /= np.maximum(np.sqrt((x * x + y * y) + z * z), 1e-300)[..., None]
-        bloch *= (radius_draw ** (1.0 / 3.0))[..., None]
+        bloch *= (rng.random(size=weights.shape) ** (1.0 / 3.0))[..., None]
 
         h_z = binary_entropy(bloch[..., 2])
-        h_y = binary_entropy(bloch[..., 1])
         n_star = _member_sum(weights * h_z)
-        d_star = _member_sum(weights * h_y)
+        d_star = _member_sum(weights * binary_entropy(bloch[..., 1]))
 
         # the pure state that keeps r_y, with its r_y taken back from its r_z,
-        # so the disturbance shift measures how well the projection keeps r_y
+        # so the disturbance shift measures how well the projection keeps r_y;
+        # each temporary goes once it has been used for the last time
         ry = bloch[..., 1]
         rz_proj = np.where(bloch[..., 2] >= 0.0, 1.0, -1.0) * np.sqrt(np.clip(1.0 - ry * ry, 0.0, None))
-        ry_proj = np.copysign(np.sqrt(np.clip(1.0 - rz_proj * rz_proj, 0.0, None)), ry)
         h_z_proj = binary_entropy(rz_proj)
+        member_increase = np.max(np.where(active, h_z_proj - h_z, -np.inf))
+        del h_z
         n_proj = _member_sum(weights * h_z_proj)
+        del h_z_proj
+        ry_proj = np.copysign(np.sqrt(np.clip(1.0 - rz_proj * rz_proj, 0.0, None)), ry)
+        del rz_proj
         d_proj = _member_sum(weights * binary_entropy(ry_proj))
+        del ry_proj
 
         # one inverse call serves both the tight excess and the boundary distance
         g_n, g_d = _inverse_pair(n_star, d_star)
-        member_increase = np.where(active, h_z_proj - h_z, -np.inf)
         np.maximum(highs, [np.max(g_n * g_n + g_d * g_d - 1.0), np.max(n_proj - n_star),
-                           np.max(member_increase), np.max(np.abs(d_proj - d_star))], out=highs)
+                           member_increase, np.max(np.abs(d_proj - d_star))], out=highs)
         np.minimum(least_sum, np.min(n_star + d_star), out=least_sum)
         return d_star - _boundary_disturbance_of_g(g_n)
 
-    distances = _row_blocks(trial_rows, np.empty(trials), sizes, gamma, normals, uniform)
+    distances = _row_blocks(trial_rows, sizes, gamma, normals)
     weights, bloch = gamma, normals
     single = sizes == 1
     worst = int(np.argmin(distances))

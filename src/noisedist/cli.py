@@ -63,7 +63,7 @@ EXIT_USAGE = 2
 #: Size caps, checked arithmetically before anything is allocated: points of
 #: a --theta grid, cells of a correct-search lattice or boundary samples
 #: (bounds.MAX_SURFACE_CELLS), and ensemble-oracle trials (bounds.MAX_TRIALS;
-#: about 215 MB peak at the cap). The library checks the last two again.
+#: about 172 MB peak at the cap). The library checks the last two again.
 #: Shots are capped by counting.MAX_SHOTS.
 MAX_THETA_POINTS = 1_000_000
 
@@ -391,11 +391,15 @@ def run_sweep(opt) -> int:
     if tolerance is None:
         tolerance = 1e-9 if opt.mode == "analytic" else 3.0 / math.sqrt(opt.shots)
 
-    n, d0, dcorr = _sweep_columns(thetas, opt.mode, opt.correction, target, opt.shots, opt.seed)
-    tight, general_ok, tight_ok = check_bounds(n, np.stack([d0, dcorr]), tolerance=tolerance)
-    columns = dict(zip(SWEEP_CSV_HEADER.split(","), [
-        thetas, n, d0, dcorr, n + dcorr, tight[1], general_ok.all(axis=0), tight_ok[1],
-    ]))
+    def sweep_rows(thetas_deg):
+        n, d0, dcorr = _sweep_columns(thetas_deg, opt.mode, opt.correction, target, opt.shots,
+                                      opt.seed)
+        tight, general_ok, tight_ok = check_bounds(n, np.stack([d0, dcorr]), tolerance=tolerance)
+        return n, d0, dcorr, n + dcorr, tight[1], general_ok.all(axis=0), tight_ok[1]
+
+    # row-blocked: a sampled stream is keyed by its angle, so the blocks
+    # change no count, and they run in order, so the first empty table raises
+    columns = dict(zip(SWEEP_CSV_HEADER.split(","), (thetas, *_row_blocks(sweep_rows, thetas))))
     config = {
         "mode": opt.mode,
         "correction": opt.correction if opt.correction != "custom" else f"custom({opt.target})",
@@ -456,7 +460,7 @@ def run_boundary(opt) -> int:
     curve = boundary_curve(opt.samples)
     columns = dict(zip(BOUNDARY_CSV_HEADER.split(","), [
         np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
-        _row_blocks(tight_value, np.empty(curve.theta.size), curve.noise, curve.disturbance),
+        _row_blocks(tight_value, curve.noise, curve.disturbance),
     ]))
     with _output(opt.out) as stream:
         write_table(stream, columns, opt.format, meta={"samples": int(opt.samples)})

@@ -119,7 +119,10 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
     key_floats = np.empty(targets.shape[:2] + (9,))
     key_floats[..., :3] = axes[:, None]
     key_floats[..., 3:] = targets.reshape(targets.shape[:2] + (6,))
-    p, means = joint.reshape(-1, 4), means.reshape(-1, 4)
+    # the Poisson cells and the binomial thinning are drawn one scalar call
+    # per cell: the same sampler on the same stream, in the same order, as
+    # one array call, without numpy's per-call checks of array arguments
+    p, means = joint.reshape(-1, 4), means.reshape(-1, 4).tolist()
     counts = np.empty((len(seeds) * len(p), 4))
     for index, words in enumerate(_stream_words(seeds, families, key_floats)):
         rng = np.random.default_rng(np.random.SeedSequence(words))
@@ -127,9 +130,9 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
         if mode == "multinomial":
             cells = rng.multinomial(shots, p[row])
             if efficiency < 1.0:
-                cells = rng.binomial(cells, efficiency)
+                cells = [rng.binomial(n, efficiency) for n in cells.tolist()]
         else:  # poisson
-            cells = rng.poisson(means[row])
+            cells = [rng.poisson(m) for m in means[row]]
         counts[index] = cells
     return counts.reshape((len(seeds),) + joint.shape)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _SIGNS, CorrectionMap, Observable, ProjectiveInstrument, born
+from .bloch import _SIGNS, CorrectionMap, Observable, ProjectiveInstrument, _born
 from .errors import DomainError, ValidationError, _float, _floats
 
 # Slack accepted on mathematical domain boundaries before raising.
@@ -79,7 +79,11 @@ def binary_entropy_inverse(y):
     1e-15 level across [0, 1]. Endpoints are returned exactly: g(0) = 1,
     g(1) = 0.
     """
-    arr = _floats(y)
+    return _entropy_inverse(_floats(y))
+
+
+def _entropy_inverse(arr):
+    """binary_entropy_inverse of the float64 array arr, which the caller has converted."""
     if np.any(~((arr >= -DOMAIN_ATOL) & (arr <= 1.0 + DOMAIN_ATOL))):
         raise DomainError("binary_entropy_inverse argument must lie in [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
@@ -160,14 +164,14 @@ def joint_tables(input_m, target_b) -> np.ndarray:
     (..., 2) of the targets of mu = +1, -1. Other shapes, and overlaps
     outside [-1, 1] (or non-finite), raise ValidationError."""
     input_m = _floats(input_m)
-    return _born_product(born(input_m), born(_target_pairs(target_b, input_m)))
+    return _born_product(_born(input_m), _born(_target_pairs(target_b, input_m)))
 
 
 def noise_bits(a_m):
     """Noise H(A|M) in bits for overlaps a . m (scalar or array): which of the
     uniformly sent eigenstates of A, given mu. It reduces p(mu | input) alone,
     which sums exactly where the table summed over beta' would not."""
-    joint = born(_eigen_pair(_floats(a_m)))
+    joint = _born(_eigen_pair(_floats(a_m)))
     joint *= 0.5
     h = _cond_entropy_given_last(joint)
     return float(h) if h.ndim == 0 else h
@@ -179,7 +183,7 @@ def disturbance_bits(b_m, target_b):
     sent eigenstates of B, given beta'. p(beta, beta') is summed over mu as
     0.5 (row(mu=+1) + row(mu=-1)), without the (..., 2, 2, 2) table."""
     pair = _eigen_pair(_floats(b_m))
-    p_in, p_final = born(pair), born(_target_pairs(target_b, pair))
+    p_in, p_final = _born(pair), _born(_target_pairs(target_b, pair))
     joint = _born_product(p_in, p_final, 0)
     joint += _born_product(p_in, p_final, 1)
     joint *= 0.5

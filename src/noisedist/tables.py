@@ -19,8 +19,9 @@ constant on, and its float64 values go through _per_distinct with a memo of
 its own, so an axis of up to _BLOCK_SIZE values is formatted once per lattice.
 
 This module also owns the row blocking of every bounded kernel: the
-correction surface, the boundary and the ensemble oracle evaluate in the
-blocks of _row_blocks and _lattice_blocks, at most _BLOCK_SIZE items each.
+correction surface, the boundary, the sweep rows (analytic and sampled) and
+the ensemble oracle evaluate in the blocks of _row_blocks and
+_lattice_blocks, at most _BLOCK_SIZE items each.
 _per_distinct evaluates an elementwise function of float64 cells once per
 distinct bit pattern of a block and gathers the results back into cell
 order, with a memo that carries results over to the later blocks of the same
@@ -43,8 +44,8 @@ import numpy as np
 CHUNK_ROWS = 4096
 
 # Items per block of the row-blocked kernels and of the lattice formatter:
-# boundary samples, ensemble-oracle trials, and lattice cells of the
-# disturbance surface and of a written lattice. A block pays a fixed cost of
+# boundary samples, sweep angles, ensemble-oracle trials, and lattice cells
+# of the disturbance surface and of a written lattice. A block pays a fixed cost of
 # small numpy calls. The least time of a one-item block, on one core of 2, is
 # about 140 us for the surface, 240 us for the boundary with its tight_value
 # column and 380 us for the oracle, most of it binary_entropy_inverse and
@@ -89,15 +90,24 @@ def _lattice_blocks(n_rows: int, n_cols: int):
         yield slice(start, min(start + step, n_rows)), slice(0, n_cols)
 
 
-def _row_blocks(kernel, out, *rows):
-    """Set out[i:j] = kernel(*(r[i:j] for r in rows)) for consecutive blocks
-    of at most _BLOCK_SIZE rows and return out, a preallocated array. Every
-    result row depends only on the same rows of the inputs, so the blocks
-    write the values of one whole-array call, bit for bit, while only one
-    block's temporaries are alive."""
-    for span, _ in _lattice_blocks(len(out), 1):
-        out[span] = kernel(*(r[span] for r in rows))
-    return out
+def _row_blocks(kernel, *rows):
+    """kernel(*rows) for a kernel that maps rows to an array, or a tuple of
+    arrays, of one result per row, evaluated in consecutive blocks of at most
+    _BLOCK_SIZE rows. Every result row depends only on the same rows of the
+    inputs, so the blocks write the values of one whole call, bit for bit,
+    into columns allocated at the first block, while only one block's
+    temporaries are alive. A single block returns the kernel's own arrays."""
+    spans = [span for span, _ in _lattice_blocks(len(rows[0]), 1)]
+    if len(spans) <= 1:
+        return kernel(*rows)
+    for span in spans:
+        part = kernel(*(r[span] for r in rows))
+        parts = part if isinstance(part, tuple) else (part,)
+        if span.start == 0:
+            out = tuple(np.empty(len(rows[0]), p.dtype) for p in parts)
+        for column, p in zip(out, parts):
+            column[span] = p
+    return out if isinstance(part, tuple) else out[0]
 
 
 def _row_chunks(columns: list, fmt: str):

@@ -14,8 +14,11 @@ compare them within 1e-15.
 For the sampler: the table-by-table draw that simulate_intensities made
 before every table of a command was drawn in one pass, each stream seeded
 with SeedSequence of the list of Python ints [seed, family code, input
-index, float bit patterns]. The batched draw must give the same counts, so
-tests compare them with ==.
+index, float bit patterns], and each input's cells drawn by numpy's
+array-argument samplers (one poisson call on its four means, one binomial
+call thinning its four multinomial cells). The batched draw, which draws
+cell by cell with scalar calls, must give the same counts, so tests compare
+them with ==.
 
 For the ensemble oracle: the member-by-member pure-state projection behind
 its projection fields, and the entropy pair of one ensemble, the boundary's
@@ -176,7 +179,8 @@ def int_list_key(seed, family, input_index, measurement, post_map):
 def per_table_counts(measurement, correction, family, shots, seed, mode, efficiency=1.0,
                      a=SIGMA_Z, b=SIGMA_Y):
     """Counts [input, mu, beta'] of one intensity table, drawn input by
-    input from the stream keyed by int_list_key, over the scalar joint."""
+    input from the stream keyed by int_list_key, over the scalar joint, with
+    one array-argument poisson or binomial call per input."""
     inst = ProjectiveInstrument(measurement, correction)
     input_obs = a if family == "A" else b
     joint = np.array([scalar_joint(input_obs.eigenstate(outcome), inst, b)

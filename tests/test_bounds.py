@@ -351,7 +351,9 @@ class TestVariationalSolverState:
         # with no members the stationarity check has nothing to check
         for theta_m, kappa, lam in [((0.3,), math.nan, 0.0), ((), math.nan, math.inf),
                                     ((), 1.0, 0.0), ((0.3,), stationary, math.inf),
-                                    ((0.3,), stationary, math.nan)]:
+                                    ((0.3,), stationary, math.nan),
+                                    ((math.inf,), stationary, 0.0),
+                                    ((0.3, math.nan), stationary, 0.0)]:
             with pytest.raises(ValidationError):
                 BoundarySolverState(theta_m, kappa=kappa, lam=lam)
         BoundarySolverState((0.3,), kappa=stationary, lam=0.0)
@@ -645,21 +647,34 @@ def _traced_peak(fn):
 
 
 class TestRowBlocks:
-    """The surface, the boundary with its tight_value column and the oracle
-    are evaluated in blocks of tables._BLOCK_SIZE items. Every value is a
-    per-cell, per-sample or per-trial computation, so no block size may
-    change a bit, and the peaks scale with the results, not the
+    """The surface, the boundary with its tight_value column, the sweep
+    rows and the oracle are evaluated in blocks of tables._BLOCK_SIZE items.
+    Every value is a per-cell, per-sample, per-angle or per-trial
+    computation, and every sampled stream is keyed by its angle, so no block
+    size may change a bit, and the peaks scale with the results, not the
     temporaries."""
 
-    @staticmethod
-    def _outputs(tmp_path):
+    COMMANDS = (
+        ["boundary", "--samples", "301", "--format", "json"],
+        ["sweep", "--theta", "0:180:7.5"],
+        ["sweep", "--theta", "0:180:15", "--mode", "multinomial", "--shots", "3000",
+         "--seed", "6", "--format", "json"],
+        ["sweep", "--theta", "0:180:15", "--mode", "poisson", "--shots", "4000", "--seed", "2",
+         "--correction", "custom", "--target", "37.5,121.25"],
+    )
+
+    @classmethod
+    def _outputs(cls, tmp_path):
         grid = np.radians(np.arange(0.0, 180.1, 7.5))
-        out = tmp_path / "boundary.json"
-        assert main(["boundary", "--samples", "301", "--format", "json", "--out", str(out)]) == 0
+        written = []
+        for argv in cls.COMMANDS:
+            out = tmp_path / "out"
+            assert main(argv + ["--out", str(out)]) == 0
+            written.append(out.read_bytes())
         return (
             disturbance_surface(0.7, grid, grid[::2]).tobytes(),
             [column.tobytes() for column in boundary_curve(301)],
-            out.read_bytes(),
+            written,
             repr(ensemble_boundary_oracle(300, max_members=5, seed=8)),
             repr(ensemble_boundary_oracle(200, max_members=1, seed=2)),
         )
@@ -670,6 +685,19 @@ class TestRowBlocks:
         whole = self._outputs(tmp_path)
         monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", block)
         assert self._outputs(tmp_path) == whole
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_first_empty_sweep_table_raises_whatever_the_blocks(self, block, monkeypatch,
+                                                               capsys):
+        # at seed 2 the first table with an empty input row is family B's at
+        # 60 degrees, and a later one family A's at 150 degrees
+        argv = ["sweep", "--theta", "0:180:15", "--mode", "poisson", "--shots", "4",
+                "--seed", "2"]
+        monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", block)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "input row with zero counts in family B" in capsys.readouterr().err
 
     def test_surface_evaluates_at_most_its_distinct_overlaps(self, monkeypatch):
         """The 0.75 degree lattice at theta_m = 37.3 degrees has 58,081 cells
@@ -695,21 +723,34 @@ class TestRowBlocks:
         whole = kernel(b_m, noisedist.entropy._eigen_pair(overlaps))
         assert surface.tobytes() == whole.tobytes()
 
+    # what the oracle holds whole: per trial its size (one byte below 256
+    # members), per member a gamma and three normals, and its distance; the
+    # uniforms are drawn a block at a time
+    @staticmethod
+    def _oracle_held(trials, members):
+        return trials * (1 + 8 * members * 4 + 8)
+
     def test_oracle_peak_is_set_by_its_draws(self):
         trials, members = 100_000, 4
-        # sizes (int64), and per member a gamma, three normals and a uniform
-        draws = 8 * trials * (1 + members * 5)
         peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
-        assert peak < 2 * draws
+        assert peak < 1.5 * self._oracle_held(trials, members)
 
     def test_oracle_holds_one_block_of_temporaries(self):
-        # above its draws and its 8-byte distance per trial, the oracle holds
-        # the temporaries of one block of trials: about 6 MB here, against
-        # about 12 MB for blocks of twice the size
+        # above what it holds whole, the oracle holds the temporaries of one
+        # block of trials: 4 to 5 MiB here, against about 8 MiB for blocks
+        # of twice the size
         trials, members = 100_000, 4
-        draws = 8 * trials * (1 + members * 5)
         peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
-        assert peak - draws - 8 * trials < 8 * 2**20
+        assert peak - self._oracle_held(trials, members) < 6 * 2**20
+
+    def test_sweep_peak_is_a_small_multiple_of_its_columns(self, tmp_path):
+        # 90,001 angles, six blocks: one block's temporaries are alive, not
+        # every angle's (about 400 bytes an angle when they all were)
+        angles = 90_001
+        argv = ["sweep", "--theta", "0:180:0.002", "--out", str(tmp_path / "s.csv")]
+        # eight columns: theta (8 bytes an angle as a float64), five float
+        # columns and two bool columns
+        assert _traced_peak(lambda: main(argv)) < 4 * (8 * 6 + 2) * angles
 
     def test_surface_peak_is_a_small_multiple_of_the_surface(self):
         grid = np.radians(np.arange(0.0, 180.25, 0.5))  # 361 x 361 cells

@@ -504,13 +504,14 @@ def test_one_inverse_entropy_call_per_command(argv, tmp_path, monkeypatch):
     import noisedist.cli
 
     calls = []
-    real = noisedist.bounds.binary_entropy_inverse
+    real = noisedist.bounds._entropy_inverse
 
     def counted(y):
         calls.append(np.size(y))
         return real(y)
 
-    monkeypatch.setattr(noisedist.bounds, "binary_entropy_inverse", counted)
+    # bounds reaches the inverse through the private kernel, cli through the public name
+    monkeypatch.setattr(noisedist.bounds, "_entropy_inverse", counted)
     monkeypatch.setattr(noisedist.cli, "binary_entropy_inverse", counted)
     run_ok(argv + ["--out", str(tmp_path / "out")])
     assert len(calls) == 1

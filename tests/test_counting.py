@@ -249,6 +249,15 @@ class TestBatchedDraw:
     @given(thetas_deg=_ANGLES, seed=_SEEDS, efficiency=_EFFICIENCIES,
            shots=st.sampled_from([1, 7, 1000, 10**6]),
            target=st.tuples(st.floats(0.0, 180.0), st.floats(-180.0, 360.0)))
+    # 0 and 90 degrees hold cells of probability 0: Poisson means of 0, and
+    # multinomial cells of n = 0 for the thinning to draw from; below 10
+    # shots every mean is below 10, where numpy's Poisson sampler multiplies
+    # uniforms instead of running its rejection method. The package draws
+    # the cells one scalar call each, the reference one array call per input
+    @example(thetas_deg=[0.0, 30.0, 90.0, 135.0], seed=5, efficiency=0.4, shots=3,
+             target=(30.0, 60.0))
+    @example(thetas_deg=[0.0, 90.0, 135.0], seed=2**64, efficiency=1.0, shots=10,
+             target=(90.0, 90.0))
     @settings(max_examples=25, deadline=None)
     def test_counts_equal_the_per_table_loop(self, kind, mode, thetas_deg, seed, efficiency,
                                              shots, target):

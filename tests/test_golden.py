@@ -161,6 +161,11 @@ GOLDEN = {
         ["boundary", "--samples", "100001"],
         "a973903fca1e75b44640fb585a29de84c49739a6775b5ba779feed42794b849e",
     ),
+    # 18,001 angles: two row blocks of the sweep kernels
+    "sweep-two-blocks-csv": (
+        ["sweep", "--theta", "0:180:0.01"],
+        "6479cc1f198f8792f2d801f654d3830d31d655cc80dd884a7ed2744ce0866882",
+    ),
     # b.m = 0: one distinct value, D = 1 bit, on every cell
     "correct-search-one-value-csv": (
         ["correct-search", "--theta-m", "0", "--grid", "1.5"],
