@@ -23,7 +23,6 @@ from .bloch import (
 )
 from .bounds import (
     BoundaryCurve,
-    BoundarySolverState,
     EnsembleMember,
     GridSearchResult,
     MaassenUffinkReport,
@@ -38,7 +37,6 @@ from .bounds import (
     optimal_correction,
     tight_value,
     variational_f,
-    variational_solver_state,
 )
 from .counting import (
     IntensityTable,

@@ -177,7 +177,8 @@ def check_bounds(
     """(tight_value, satisfies_general, satisfies_tight) of (noise,
     disturbance) bits against the general bound N + D >= c_AB and the tight
     qubit bound g[N]^2 + g[D]^2 <= 1: floats and bools for scalars, arrays
-    for arrays, broadcast together.
+    for arrays, broadcast together. a and b set c_AB alone: the tight flag
+    tests the relation of a complementary pair, whatever a and b are.
 
     tolerance is the accepted slack, a number or an array that broadcasts
     with the bits: 1e-9 suits analytic inputs; sampled points should pass a
@@ -213,73 +214,6 @@ def variational_f(theta):
         raise DomainError("variational_f input too close to an endpoint singularity")
     out = (binary_entropy_derivative(s) / s) / (binary_entropy_derivative(c) / c)
     return float(out) if arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class BoundarySolverState:
-    """Stationary configuration behind one interior boundary point.
-
-    theta_m are the member angles (radians) of the extremal pure-state
-    ensembles, parametrized by r = (0, cos t, sin t) in the y-z plane; kappa
-    and lam are the multipliers of the disturbance constraint and the weight
-    normalization. There is at least one member, the members, kappa and lam
-    are finite, and every retained angle satisfies f(theta_m) = kappa within 1e-8; any
-    weights over these angles give the same boundary point.
-    """
-
-    theta_m: tuple
-    kappa: float
-    lam: float
-
-    def __post_init__(self):
-        t = _floats(self.theta_m)
-        object.__setattr__(self, "theta_m", tuple(np.ravel(t).tolist()))
-        for name in ("kappa", "lam"):
-            object.__setattr__(self, name, _float(getattr(self, name)))
-        # with no members the stationarity check below has nothing to check,
-        # and a non-finite member has no sine to fold
-        if (t.ndim != 1 or not t.size or not np.isfinite(t).all()
-                or not (math.isfinite(self.kappa) and math.isfinite(self.lam))):
-            raise ValidationError(
-                "a solver state needs a sequence of at least one finite member and finite kappa "
-                f"and lam, got theta_m={self.theta_m!r}, kappa={self.kappa!r}, lam={self.lam!r}")
-        # f depends on t only through |sin t| and |cos t| (h'(x)/x is even), so
-        # each member folds into [0, pi/2]; multiples of pi/2 land on f's poles
-        folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
-        resid = np.abs(variational_f(folded) - self.kappa)
-        if not np.all(resid <= 1e-8):
-            raise ValidationError(
-                f"stationarity violated: max |f(theta_m) - kappa| = {float(resid.max())!r}"
-            )
-
-    def member_states(self) -> tuple:
-        """Bloch vectors (0, cos t, sin t) of the extremal members."""
-        return tuple(
-            BlochVector(0.0, math.cos(t), math.sin(t)) for t in self.theta_m
-        )
-
-
-def variational_solver_state(theta: float) -> BoundarySolverState:
-    """Solve the stationarity conditions for the boundary point at parameter
-    `theta` in the open interval (0, pi/2).
-
-    The angle condition admits the four solutions theta_m = +-pi/2 +- theta,
-    all sharing kappa = f(pi/2 - theta); the weight condition then fixes
-    lam = -(h(cos theta) + kappa h(sin theta)). Any mixture of the four
-    members lands on (h(cos theta), h(sin theta)).
-    """
-    theta = _float(theta)
-    if not 0.0 < theta < math.pi / 2:
-        raise DomainError("boundary parameter must lie in the open interval (0, pi/2)")
-    kappa = variational_f(math.pi / 2 - theta)
-    members = (
-        math.pi / 2 - theta,
-        math.pi / 2 + theta,
-        -math.pi / 2 + theta,
-        -math.pi / 2 - theta,
-    )
-    lam = -(binary_entropy(math.cos(theta)) + kappa * binary_entropy(math.sin(theta)))
-    return BoundarySolverState(theta_m=members, kappa=kappa, lam=lam)
 
 
 class BoundaryCurve(NamedTuple):
@@ -487,42 +421,34 @@ class MaassenUffinkReport:
     """Comparison of the boundary against the flat entropy bound
     H(sigma_y) + H(sigma_z) >= 1 bit.
 
-    min_state_sum sweeps single pure states psi(theta, pi/2) in the y-z
-    plane, summed as h(r_z) + h(r_y), with r_z = cos(theta) and
-    r_y = sin(theta) sin(pi/2) from math.cos and math.sin: bit for bit the
-    Bloch vectors PureState.from_angles builds; min_boundary_sum takes
-    N + D along boundary_curve. Both minima equal 1 bit, attained at the
-    eigenstate endpoints only; min_interior_gap is the smallest interior
-    excess over 1 bit.
+    The pure state psi(theta, pi/2) in the y-z plane has r_z = cos(theta)
+    and r_y = sin(theta), so its entropy sum h(r_z) + h(r_y) is the
+    boundary's N + D at theta, and boundary_curve gives both:
+    min_state_sum and min_boundary_sum are the one minimum of that sum. It
+    equals 1 bit, attained at the eigenstate endpoints only;
+    min_interior_gap is the smallest interior excess over 1 bit.
     """
 
     min_state_sum: float
     min_boundary_sum: float
     argmin_theta: float
     min_interior_gap: float
-    route_max_diff: float
     samples: int
 
 
 def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
     """Sweep y-z-plane pure states at `samples` angles in [0, pi/2] and
-    compare the entropy sum H(sigma_z) + H(sigma_y) against the boundary's
-    N + D (the sweep covers all such states up to the h(x) = h(-x) symmetry).
-    At most MAX_SURFACE_CELLS samples."""
+    compare the entropy sum H(sigma_z) + H(sigma_y) against the flat bound
+    of 1 bit (the sweep covers all such states up to the h(x) = h(-x)
+    symmetry). At most MAX_SURFACE_CELLS samples."""
     curve = boundary_curve(samples)
-    thetas = curve.theta
-    # PureState.from_angles(t, pi/2).direction, without building the states
-    r_z = np.array([math.cos(t) for t in thetas.tolist()])
-    r_y = np.array([math.sin(t) for t in thetas.tolist()]) * math.sin(math.pi / 2)
-    # the entropy pair of each single-member ensemble (1, state), summed
-    sums = binary_entropy(r_z) + binary_entropy(r_y)
-    boundary_sums = curve.noise + curve.disturbance
+    sums = curve.noise + curve.disturbance
     argmin = int(np.argmin(sums))
+    least = float(sums[argmin])
     return MaassenUffinkReport(
-        min_state_sum=float(sums.min()),
-        min_boundary_sum=float(boundary_sums.min()),
-        argmin_theta=float(thetas[argmin]),
-        min_interior_gap=float(sums[1:-1].min() - 1.0) if thetas.size > 2 else float("nan"),
-        route_max_diff=float(np.max(np.abs(sums - boundary_sums))),
+        min_state_sum=least,
+        min_boundary_sum=least,
+        argmin_theta=float(curve.theta[argmin]),
+        min_interior_gap=float(sums[1:-1].min() - 1.0) if sums.size > 2 else float("nan"),
         samples=int(samples),
     )

@@ -46,10 +46,10 @@ MAX_SHOTS = 2**53
 _FAMILY_CODE = {"A": 0, "B": 1}
 
 CSV_HEADER = "family,input,mu,beta_prime,count"
+_FAMILY, *_CELLS, _COUNT = CSV_HEADER.split(",")
 
 # input, mu and beta_prime of the eight cells, in counts.ravel() order
-_CELL_OUTCOMES = dict(zip(("input", "mu", "beta_prime"),
-                          map(list, zip(*itertools.product(OUTCOMES, repeat=3)))))
+_CELL_OUTCOMES = dict(zip(_CELLS, map(list, zip(*itertools.product(OUTCOMES, repeat=3)))))
 
 
 def _int_words(n: int) -> list[int]:
@@ -199,10 +199,10 @@ class IntensityTable:
         counts = self.counts.ravel().tolist()
         if self.mode != "exact":
             counts = list(map(int, counts))
-        columns = {**_CELL_OUTCOMES, "count": counts}
+        columns = {**_CELL_OUTCOMES, _COUNT: counts}
         buf = io.StringIO()
         if fmt == "csv":
-            write_table(buf, {"family": [self.family] * len(counts), **columns}, fmt)
+            write_table(buf, {_FAMILY: [self.family] * len(counts), **columns}, fmt)
         else:
             meta = {
                 "family": self.family,

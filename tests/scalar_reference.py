@@ -30,6 +30,10 @@ For the binary entropy: the two masked np.where terms that binary_entropy
 evaluated before both terms shared one buffer. The array form must give the
 same bits, so tests compare int64 views of the two.
 
+For the boundary's variational problem: the stationary members of the
+ensembles behind one boundary point and their two multipliers, from the
+closed forms, with the stationarity ratio f in scalar math arithmetic.
+
 For the serializers: the counts of an intensity table read back from its
 JSON text.
 
@@ -238,6 +242,27 @@ def signed_boundary_distance(noise_bits, disturbance_bits):
     and D must both lie in [0, 1] bits (DomainError)."""
     binary_entropy_inverse(disturbance_bits)  # the domain check of D
     return disturbance_bits - boundary_disturbance(noise_bits)
+
+
+def stationary_members(theta):
+    """(members, kappa, lam) of the boundary point (h(cos theta), h(sin
+    theta)) for theta in (0, pi/2), with members r = (0, cos t, sin t).
+
+    The angle condition f(t) = kappa, with f(t) = (h'(sin t)/sin t) /
+    (h'(cos t)/cos t) and h'(x) = (1/2) log2((1-x)/(1+x)), has the four
+    solutions t = +-pi/2 +- theta, all with kappa = f(pi/2 - theta); the
+    weight condition h(sin t) + kappa h(cos t) = -lam then fixes
+    lam = -(h(cos theta) + kappa h(sin theta)). Any mixture of the members
+    lands on the boundary point."""
+    def h_prime_over_x(x):
+        return 0.5 * math.log2((1.0 - x) / (1.0 + x)) / x
+
+    mirror = math.pi / 2 - theta
+    kappa = h_prime_over_x(math.sin(mirror)) / h_prime_over_x(math.cos(mirror))
+    members = (math.pi / 2 - theta, math.pi / 2 + theta, -math.pi / 2 + theta,
+               -math.pi / 2 - theta)
+    lam = -(binary_entropy(math.cos(theta)) + kappa * binary_entropy(math.sin(theta)))
+    return members, kappa, lam
 
 
 def counts_from_json(text):

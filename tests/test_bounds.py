@@ -49,6 +49,7 @@ from scalar_reference import (
     pure_state_projection,
     scalar_disturbance,
     signed_boundary_distance,
+    stationary_members,
 )
 
 H_HALF = 0.81127812445913286
@@ -328,67 +329,54 @@ class TestCorrectionOrdering:
 
 
 class TestVariationalSolverState:
+    """The stationary solution of the boundary's variational problem, from
+    the closed forms of scalar_reference.stationary_members, against
+    variational_f and the entropies of the package."""
+
     def test_multiplier_matches_f_at_the_mirror_angle(self):
-        from noisedist import variational_solver_state
-
         theta = math.radians(30.0)
-        state = variational_solver_state(theta)
-        assert state.kappa == pytest.approx(variational_f(math.pi / 2 - theta), abs=1e-12)
-        assert len(state.theta_m) == 4
-
-    def test_stationarity_invariant_enforced(self):
-        from noisedist import BoundarySolverState, variational_solver_state
-
-        state = variational_solver_state(math.radians(40.0))
-        # reconstructing with a wrong multiplier must fail the invariant
-        with pytest.raises(ValidationError):
-            BoundarySolverState(state.theta_m, state.kappa * 1.5, state.lam)
-
-    def test_nan_multiplier_rejected(self):
-        from noisedist import BoundarySolverState
-
-        stationary = variational_f(0.3)
-        # with no members the stationarity check has nothing to check
-        for theta_m, kappa, lam in [((0.3,), math.nan, 0.0), ((), math.nan, math.inf),
-                                    ((), 1.0, 0.0), ((0.3,), stationary, math.inf),
-                                    ((0.3,), stationary, math.nan),
-                                    ((math.inf,), stationary, 0.0),
-                                    ((0.3, math.nan), stationary, 0.0)]:
-            with pytest.raises(ValidationError):
-                BoundarySolverState(theta_m, kappa=kappa, lam=lam)
-        BoundarySolverState((0.3,), kappa=stationary, lam=0.0)
+        members, kappa, _ = stationary_members(theta)
+        assert kappa == pytest.approx(variational_f(math.pi / 2 - theta), abs=1e-12)
+        # the four members +-pi/2 +- theta all mirror theta: |cos t| = sin theta
+        assert len(members) == 4
+        assert np.allclose(np.abs(np.cos(members)), math.sin(theta), rtol=0.0, atol=1e-12)
 
     def test_weight_multiplier_balances_the_weight_condition(self):
-        from noisedist import variational_solver_state
-
         theta = math.radians(25.0)
-        state = variational_solver_state(theta)
-        # h(sin t_m) + kappa h(cos t_m) = -lam for every retained angle
-        for t in state.theta_m:
-            lhs = binary_entropy(math.sin(t)) + state.kappa * binary_entropy(math.cos(t))
-            assert lhs == pytest.approx(-state.lam, abs=1e-9)
+        members, kappa, lam = stationary_members(theta)
+        point = binary_entropy(math.cos(theta)), binary_entropy(math.sin(theta))
+        # every member sits at the boundary point, where
+        # h(sin t_m) + kappa h(cos t_m) = -lam
+        for t in members:
+            n, d = binary_entropy(math.sin(t)), binary_entropy(math.cos(t))
+            assert (n, d) == pytest.approx(point, abs=1e-12)
+            assert n + kappa * d == pytest.approx(-lam, abs=1e-9)
+        # and holds with f's own multiplier at the mirror angle
+        assert point[0] + variational_f(math.pi / 2 - theta) * point[1] == pytest.approx(
+            -lam, abs=1e-9)
 
     def test_any_mixture_of_members_lands_on_the_boundary_point(self):
-        from noisedist import variational_solver_state
-
         theta = math.radians(35.0)
-        state = variational_solver_state(theta)
+        members, kappa, lam = stationary_members(theta)
         rng = np.random.default_rng(1)
         for _ in range(5):
             w = rng.dirichlet(np.ones(4))
-            members = [EnsembleMember(wi, s)
-                       for wi, s in zip(w, state.member_states())]
-            n, d = ensemble_point(members)
+            n, d = ensemble_point([EnsembleMember(wi, BlochVector(0.0, math.cos(t), math.sin(t)))
+                                   for wi, t in zip(w, members)])
             assert n == pytest.approx(binary_entropy(math.cos(theta)), abs=1e-12)
             assert d == pytest.approx(binary_entropy(math.sin(theta)), abs=1e-12)
+            # and meets the weight condition with kappa, which is f's multiplier
+            for multiplier in (kappa, variational_f(math.pi / 2 - theta)):
+                assert n + multiplier * d == pytest.approx(-lam, abs=1e-9)
 
-    def test_domain(self):
-        from noisedist import variational_solver_state
-
-        with pytest.raises(DomainError):
-            variational_solver_state(0.0)
-        with pytest.raises(DomainError):
-            variational_solver_state(math.pi / 2)
+    @pytest.mark.parametrize("theta_deg", [5.0, 25.0, 45.0, 60.0, 85.0])
+    def test_folded_members_are_stationary(self, theta_deg):
+        members, kappa, _ = stationary_members(math.radians(theta_deg))
+        # f depends on t only through |sin t| and |cos t| (h'(x)/x is even),
+        # so each member folds into (0, pi/2), where f of it is the multiplier
+        t = np.array(members)
+        folded = np.arctan2(np.abs(np.sin(t)), np.abs(np.cos(t)))
+        assert np.all(np.abs(variational_f(folded) - kappa) <= 1e-8)
 
 
 class TestBoundaryCurve:
@@ -786,9 +774,9 @@ class TestMaassenUffink:
 
     @pytest.mark.parametrize("samples", [2, 157, 1572])
     def test_states_are_those_of_from_angles(self, samples, monkeypatch):
-        # the r_z and r_y entropies are taken of are, bit for bit, the Bloch
-        # vectors of the states PureState.from_angles builds; they are the
-        # last two calls, after boundary_curve's
+        # the r_z and r_y whose entropies are summed are, bit for bit, the
+        # Bloch vectors of the states PureState.from_angles builds; they are
+        # the last two calls, boundary_curve's
         seen = []
         real = noisedist.bounds.binary_entropy
 
@@ -802,10 +790,6 @@ class TestMaassenUffink:
                   for t in np.linspace(0.0, math.pi / 2, samples).tolist()]
         assert np.array_equal(seen[-2], [state.z for state in states])
         assert np.array_equal(seen[-1], [state.y for state in states])
-
-    def test_routes_agree(self):
-        report = maassen_uffink_compare(361)
-        assert report.route_max_diff <= 1e-12
 
     def test_matches_the_ensemble_point_loop(self):
         thetas = np.linspace(0.0, math.pi / 2, 157)

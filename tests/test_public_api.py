@@ -16,7 +16,7 @@ import noisedist
 from test_tracing import _load_tracing
 
 PUBLIC_NAMES = [
-    "BlochVector", "BoundaryCurve", "BoundarySolverState", "CorrectionMap", "DomainError",
+    "BlochVector", "BoundaryCurve", "CorrectionMap", "DomainError",
     "EnsembleMember", "EstimationError", "GridSearchResult", "IntensityTable",
     "MaassenUffinkReport", "NDPoint", "NoiseDistError", "OUTCOMES", "Observable",
     "OracleReport", "ProjectiveInstrument", "PureState", "SIGMA_Y", "SIGMA_Z",
@@ -26,7 +26,6 @@ PUBLIC_NAMES = [
     "maassen_uffink_compare", "nd_from_counts", "noise", "noise_bits", "optimal_correction",
     "polar_angle", "polar_observable", "simulate_intensities", "theory_disturbance_optimal",
     "theory_disturbance_uncorrected", "theory_noise", "tight_value", "variational_f",
-    "variational_solver_state",
 ]
 
 # GROUPS keys naming functions the package no longer has; their groups read 0
