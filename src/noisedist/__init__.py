@@ -4,8 +4,9 @@ qubit measurements.
 The library computes the conditional-entropy noise N = H(A|M) and
 disturbance D = H(B|B') of a sharp spin measurement, exactly and from
 simulated counting data, applies outcome-conditioned correction operations,
-and verifies the general bound N + D >= c_AB together with the tight qubit
-tradeoff g[N]^2 + g[D]^2 <= 1 and its saturating boundary.
+and verifies, for the complementary pair A = sigma_z and B = sigma_y, the
+general bound N + D >= 1 together with the tight qubit tradeoff
+g[N]^2 + g[D]^2 <= 1 and its saturating boundary.
 """
 
 __version__ = "0.1.0"
@@ -28,7 +29,6 @@ from .bounds import (
     MaassenUffinkReport,
     OracleReport,
     boundary_curve,
-    c_ab,
     check_bounds,
     correction_grid_search,
     disturbance_surface,

@@ -116,6 +116,10 @@ class Observable:
 SIGMA_Y = Observable(BlochVector(0.0, 1.0, 0.0))
 SIGMA_Z = Observable(BlochVector(0.0, 0.0, 1.0))
 
+# The measured pair A = sigma_z and B = sigma_y, whose relations the package
+# checks, as the arrays of the array kernels.
+_A_AXIS, _B_AXIS = (np.array(o.axis.as_tuple()) for o in (SIGMA_Z, SIGMA_Y))
+
 
 def polar_observable(theta: float) -> Observable:
     """Spin along (0, sin(theta), cos(theta)): the y-z-plane measurement axis

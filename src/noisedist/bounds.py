@@ -1,9 +1,11 @@
 """Uncertainty-bound evaluation, optimal correction, the noise-disturbance
 tradeoff boundary, and a brute-force ensemble oracle for it.
 
-The tradeoff boundary for the complementary pair (sigma_z, sigma_y) is the
-parametric curve (h(cos t), h(sin t)), t in [0, pi/2]; equivalently the set
-where g[N]^2 + g[D]^2 = 1 with g the inverse of h on [0, 1]. Values of
+The measured pair is fixed: A = sigma_z and B = sigma_y, a complementary
+pair, for which the general bound N + D >= c_AB of Buscemi, Hall, Ozawa and
+Wilde (PRL 112, 050401 (2014)) is N + D >= 1 bit. Its tradeoff boundary is
+the parametric curve (h(cos t), h(sin t)), t in [0, pi/2]; equivalently the
+set where g[N]^2 + g[D]^2 = 1 with g the inverse of h on [0, 1]. Values of
 g[N]^2 + g[D]^2 above 1 are prohibited, below 1 allowed but not optimal.
 """
 
@@ -15,14 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import (
-    SIGMA_Y,
-    SIGMA_Z,
-    BlochVector,
-    CorrectionMap,
-    Observable,
-    polar_observable,
-)
+from .bloch import SIGMA_Y, BlochVector, CorrectionMap, Observable, polar_observable
 from .entropy import (
     _eigen_pair,
     _entropy_inverse,
@@ -40,44 +35,37 @@ MAX_SURFACE_CELLS = 10_000_000
 MAX_TRIALS = 1_000_000
 
 
-def c_ab(a: Observable, b: Observable) -> float:
-    """Incompatibility constant -log2 max |<a|b>|^2 over eigenstate pairs.
-
-    For qubit axes the maximal squared overlap is (1 + |a.b|)/2, so this is
-    1 bit for complementary observables and 0 for identical ones.
-    """
-    overlap = 0.5 * (1.0 + abs(a.axis.dot(b.axis)))
-    return -math.log2(overlap)
-
-
-def optimal_correction(m_axis, b: Observable) -> CorrectionMap:
+def optimal_correction(m_axis) -> CorrectionMap:
     """Disturbance-minimizing re-preparation after a sharp measurement along
     m_axis: outcome mu is sent to |mu b> when b.m >= 0 and to |-mu b>
-    otherwise. The tie b.m = 0 takes the >= branch."""
+    otherwise, b being the axis of B = sigma_y. The tie b.m = 0 takes the
+    >= branch."""
     if isinstance(m_axis, BlochVector):
         m_axis = Observable(m_axis)  # which checks that it is a unit vector
     if not isinstance(m_axis, Observable):
         raise ValidationError(f"m_axis must be a BlochVector, got {type(m_axis).__name__}")
-    plus, minus = b.eigenstates()
-    if b.axis.dot(m_axis.axis) >= 0.0:
+    plus, minus = SIGMA_Y.eigenstates()
+    if SIGMA_Y.axis.dot(m_axis.axis) >= 0.0:
         return CorrectionMap(plus, minus)
     return CorrectionMap(minus, plus)
 
 
-def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y) -> np.ndarray:
-    """Disturbance of B for every re-preparation target psi(vartheta, phi).
+def disturbance_surface(theta_m: float, varthetas, phis) -> np.ndarray:
+    """Disturbance of B = sigma_y for every re-preparation target
+    psi(vartheta, phi).
 
     The instrument measures along (0, sin theta_m, cos theta_m); outcome +1
     is re-prepared as psi(vartheta, phi), outcome -1 as its antipode. Returns
     the H(B|B') surface with shape (len(varthetas), len(phis)), evaluated in
     the blocks of _lattice_blocks. The surface depends on the target only
-    through its overlap with b, and a lattice repeats overlaps often, so each
-    block makes one disturbance_bits call over the overlaps that no earlier
-    block of the lattice evaluated (see tables._per_distinct; the memo of
-    evaluated overlaps lives for this call and holds one block's worth); the
-    kernel is elementwise, so the values are those of evaluating every cell.
+    through its overlap with the y axis, sin(vartheta) sin(phi), and a
+    lattice repeats overlaps often, so each block makes one disturbance_bits
+    call over the overlaps that no earlier block of the lattice evaluated
+    (see tables._per_distinct; the memo of evaluated overlaps lives for this
+    call and holds one block's worth); the kernel is elementwise, so the
+    values are those of evaluating every cell.
     Scalar axes count as one value; axes that are not numbers (text, ragged
-    sequences), of more than one dimension, or of more than
+    sequences), not finite, of more than one dimension, or of more than
     MAX_SURFACE_CELLS cells raise ValidationError.
     """
     m = polar_observable(theta_m)
@@ -88,9 +76,10 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     if vt.size * ph.size > MAX_SURFACE_CELLS:
         raise ValidationError(
             f"lattice of {vt.size} x {ph.size} cells exceeds {MAX_SURFACE_CELLS} cells")
-    b_m = b.axis.dot(m.axis)
-    bx, by, bz = b.axis.as_tuple()
-    cos_ph, sin_ph = np.cos(ph), np.sin(ph)
+    if not (np.isfinite(vt).all() and np.isfinite(ph).all()):
+        raise ValidationError("vartheta and phi axes must be finite")
+    b_m = SIGMA_Y.axis.dot(m.axis)
+    sin_vt, sin_ph = np.sin(vt), np.sin(ph)
 
     def bits_of(overlap):
         return disturbance_bits(b_m, _eigen_pair(overlap))
@@ -98,9 +87,8 @@ def disturbance_surface(theta_m: float, varthetas, phis, b: Observable = SIGMA_Y
     memo = []  # the disturbance of each overlap seen, for the blocks that follow
     out = np.empty((vt.size, ph.size))
     for rows, cols in _lattice_blocks(vt.size, ph.size):
-        v = vt[rows, None]
-        # psi(vartheta, phi) . b for the +1 target; the -1 target is antipodal
-        overlap = np.sin(v) * cos_ph[cols] * bx + np.sin(v) * sin_ph[cols] * by + np.cos(v) * bz
+        # psi(vartheta, phi) . y for the +1 target; the -1 target is antipodal
+        overlap = sin_vt[rows, None] * sin_ph[cols]
         out[rows, cols] = _per_distinct(bits_of, overlap, memo)
     return out
 
@@ -122,13 +110,13 @@ class GridSearchResult:
     d_min: float
 
 
-def correction_grid_search(theta_m: float, b: Observable, varthetas, phis) -> GridSearchResult:
+def correction_grid_search(theta_m: float, varthetas, phis) -> GridSearchResult:
     """Evaluate the disturbance surface on a (vartheta, phi) lattice and
     locate its minimum."""
     vt, ph = np.atleast_1d(_floats(varthetas), _floats(phis))
     if vt.size == 0 or ph.size == 0:
         raise ValidationError("correction grid must be non-empty")
-    surface = disturbance_surface(theta_m, vt, ph, b)
+    surface = disturbance_surface(theta_m, vt, ph)
     # np.argmin returns the first occurrence in C (row-major) order
     flat = int(np.argmin(surface))
     i, j = divmod(flat, ph.size)
@@ -167,18 +155,12 @@ def _tight(n, d):
     return float(tight) if tight.ndim == 0 else tight
 
 
-def check_bounds(
-    noise_bits,
-    disturbance_bits,
-    a: Observable = SIGMA_Z,
-    b: Observable = SIGMA_Y,
-    tolerance: float = 1e-9,
-):
+def check_bounds(noise_bits, disturbance_bits, tolerance: float = 1e-9):
     """(tight_value, satisfies_general, satisfies_tight) of (noise,
-    disturbance) bits against the general bound N + D >= c_AB and the tight
-    qubit bound g[N]^2 + g[D]^2 <= 1: floats and bools for scalars, arrays
-    for arrays, broadcast together. a and b set c_AB alone: the tight flag
-    tests the relation of a complementary pair, whatever a and b are.
+    disturbance) bits against the general bound N + D >= 1 and the tight
+    qubit bound g[N]^2 + g[D]^2 <= 1 of the complementary pair (sigma_z,
+    sigma_y): floats and bools for scalars, arrays for arrays, broadcast
+    together.
 
     tolerance is the accepted slack, a number or an array that broadcasts
     with the bits: 1e-9 suits analytic inputs; sampled points should pass a
@@ -188,7 +170,7 @@ def check_bounds(
     if not ((slack >= 0.0) & (slack < math.inf)).all():  # NaN fails both
         raise ValidationError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     tight = _tight(n, d)
-    general = n + d >= c_ab(a, b) - slack
+    general = n + d >= 1.0 - slack
     satisfied = tight <= 1.0 + slack
     if general.ndim == 0:
         return tight, bool(general), bool(satisfied)

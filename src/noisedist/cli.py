@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import __version__
-from .bloch import SIGMA_Y, SIGMA_Z, CorrectionMap, polar_observable
+from .bloch import _A_AXIS, _B_AXIS, CorrectionMap, polar_observable
 from .bounds import (
     MAX_SURFACE_CELLS,
     MAX_TRIALS,
@@ -328,15 +328,13 @@ def _make_correction(kind, target, m_obs):
     if kind == "none":
         return None, "identity"
     if kind == "optimal":
-        return optimal_correction(m_obs.axis, SIGMA_Y), "optimal"
+        return optimal_correction(m_obs.axis), "optimal"
     cmap = CorrectionMap.from_rotation_angles(*map(math.radians, target))
     return cmap, "custom({:g},{:g})".format(*target)
 
 
 # ---------------------------------------------------------------- sweep
 
-
-_A_AXIS, _B_AXIS = (np.array(o.axis.as_tuple()) for o in (SIGMA_Z, SIGMA_Y))
 
 #: The re-preparation targets (mu = +1, -1) of the optimal correction, indexed
 #: by b . m < 0: optimal_correction sends mu to |mu b> where b . m >= 0, else
@@ -441,8 +439,7 @@ def run_correct_search(opt) -> int:
     phis_deg = np.arange(0.0, 180.0 + steps[1] / 2, steps[1])
 
     result = correction_grid_search(
-        math.radians(opt.theta_m), SIGMA_Y,
-        np.radians(varthetas_deg), np.radians(phis_deg))
+        math.radians(opt.theta_m), np.radians(varthetas_deg), np.radians(phis_deg))
     best_vt = math.degrees(result.best_vartheta)
     best_phi = math.degrees(result.best_phi)
     print(
@@ -533,11 +530,11 @@ def _verify_checks(opt):
                    f"Dopt<=D0 everywhere={order_ok}, equality at {equal_at}"))
 
     coarse = np.radians(np.arange(0.0, 180.1, 22.5))
-    res = correction_grid_search(math.radians(50.0), SIGMA_Y, coarse, coarse)
+    res = correction_grid_search(math.radians(50.0), coarse, coarse)
     expect = binary_entropy(math.sin(math.radians(50.0)))
     argmin_ok = (math.degrees(res.best_vartheta), math.degrees(res.best_phi)) == (90.0, 90.0)
     refine = np.radians(np.arange(80.0, 100.1, 1.0))
-    res_fine = correction_grid_search(math.radians(50.0), SIGMA_Y, refine, refine)
+    res_fine = correction_grid_search(math.radians(50.0), refine, refine)
     checks.append((
         "correction-search",
         argmin_ok and abs(res.d_min - expect) <= 1e-9 and res_fine.d_min >= expect - 1e-9,

@@ -2,9 +2,10 @@
 estimator that recovers noise and disturbance from the counts.
 
 A run sends the two eigenstates of one observable (family "A": eigenstates
-of A feeding the noise estimate; family "B": eigenstates of B feeding the
-disturbance estimate) into the measurement apparatus followed by a sharp B
-measurement, producing eight intensities I[input, mu, beta'] per family.
+of A = sigma_z feeding the noise estimate; family "B": eigenstates of
+B = sigma_y feeding the disturbance estimate) into the measurement apparatus
+followed by a sharp B measurement, producing eight intensities
+I[input, mu, beta'] per family.
 
 Reproducibility contract: sampled modes draw from a numpy PCG64 generator,
 default_rng(SeedSequence(words)). The key of a stream is the ints [seed,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import OUTCOMES, SIGMA_Y, SIGMA_Z, CorrectionMap, Observable
+from .bloch import _A_AXIS, _B_AXIS, OUTCOMES, CorrectionMap, Observable
 from .entropy import NDPoint, _cond_entropy_given_last, _eigen_pair, joint_tables
 from .errors import EstimationError, ValidationError, _count, _float, _floats
 from .tables import write_table
@@ -88,15 +89,16 @@ def _dot(u, v):
     return uv[..., 0] + uv[..., 1] + uv[..., 2]
 
 
-def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
-                 a: Observable = SIGMA_Z, b: Observable = SIGMA_Y) -> np.ndarray:
+def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0) -> np.ndarray:
     """The counts (len(seeds), n, len(families), 2, 2, 2) of the intensity
     tables of n measurement axes (n, 3): for each seed and axis, one table of
     each family, re-prepared into its targets (n, len(families), 2, 3), the
-    directions of the targets of mu = +1 and -1. Every table is the one
-    simulate_intensities makes, counts and stream alike. One joint_tables
-    call covers all of them; sampled modes then draw seed by seed, axis by
-    axis, family by family and input by input, one stream each."""
+    directions of the targets of mu = +1 and -1. Family "A" sends the
+    eigenstates of sigma_z, "B" those of sigma_y, and sigma_y is the final
+    measurement. Every table is the one simulate_intensities makes, counts
+    and stream alike. One joint_tables call covers all of them; sampled modes
+    then draw seed by seed, axis by axis, family by family and input by
+    input, one stream each."""
     shots = _count("shots", shots, 1, MAX_SHOTS)
     seeds = [_count("seed", seed, 0) for seed in seeds]
     if mode not in MODES:
@@ -108,10 +110,9 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0,
     if not 0.0 < efficiency <= 1.0:
         raise ValidationError(f"efficiency must lie in (0, 1], got {efficiency!r}")
 
-    inputs = np.array([(a if family == "A" else b).axis.as_tuple() for family in families])
+    inputs = np.array([_A_AXIS if family == "A" else _B_AXIS for family in families])
     # joint[j, family, i] is the joint distribution of (mu, beta') for input OUTCOMES[i]
-    joint = joint_tables(_eigen_pair(_dot(inputs, axes[:, None])),
-                         _dot(targets, np.array(b.axis.as_tuple())))
+    joint = joint_tables(_eigen_pair(_dot(inputs, axes[:, None])), _dot(targets, _B_AXIS))
     means = shots * efficiency * joint
     if mode == "exact":
         return means[None].repeat(len(seeds), axis=0)
@@ -230,12 +231,12 @@ def simulate_intensities(
     shots: int,
     seed: int = 0,
     mode: str = "exact",
-    a: Observable = SIGMA_Z,
-    b: Observable = SIGMA_Y,
     efficiency: float = 1.0,
     correction_label: str = None,
 ) -> IntensityTable:
-    """Simulate the eight intensities of one input family.
+    """Simulate the eight intensities of one input family: the eigenstates
+    of sigma_z for family "A", of sigma_y for "B", each measured along
+    `measurement`, re-prepared by `correction` and measured along sigma_y.
 
     Each of the two input eigenstates is sent with the same number of shots.
     mode "exact" emits the expected counts shots * efficiency * p as reals;
@@ -247,7 +248,7 @@ def simulate_intensities(
     targets = np.array([[[post_map.target_plus.direction.as_tuple(),
                           post_map.target_minus.direction.as_tuple()]]])
     counts = _draw_counts([seed], [family], np.array([measurement.axis.as_tuple()]), targets,
-                          shots, mode, efficiency, a, b)[0, 0, 0]
+                          shots, mode, efficiency)[0, 0, 0]
     if correction_label is None:
         correction_label = "identity" if correction is None else "custom"
 

@@ -180,14 +180,15 @@ def int_list_key(seed, family, input_index, measurement, post_map):
             *(struct.unpack("<Q", struct.pack("<d", v))[0] for v in floats)]
 
 
-def per_table_counts(measurement, correction, family, shots, seed, mode, efficiency=1.0,
-                     a=SIGMA_Z, b=SIGMA_Y):
-    """Counts [input, mu, beta'] of one intensity table, drawn input by
-    input from the stream keyed by int_list_key, over the scalar joint, with
-    one array-argument poisson or binomial call per input."""
+def per_table_counts(measurement, correction, family, shots, seed, mode, efficiency=1.0):
+    """Counts [input, mu, beta'] of one intensity table (inputs the
+    eigenstates of sigma_z for family A, of sigma_y for B, then a sigma_y
+    measurement), drawn input by input from the stream keyed by
+    int_list_key, over the scalar joint, with one array-argument poisson or
+    binomial call per input."""
     inst = ProjectiveInstrument(measurement, correction)
-    input_obs = a if family == "A" else b
-    joint = np.array([scalar_joint(input_obs.eigenstate(outcome), inst, b)
+    input_obs = SIGMA_Z if family == "A" else SIGMA_Y
+    joint = np.array([scalar_joint(input_obs.eigenstate(outcome), inst, SIGMA_Y)
                       for outcome in OUTCOMES])
     if mode == "exact":
         return shots * efficiency * joint

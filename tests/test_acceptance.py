@@ -54,7 +54,7 @@ def analytic_triples(grid_deg):
         inst = ProjectiveInstrument(m)
         out[i, 0] = noise(inst, SIGMA_Z)
         out[i, 1] = disturbance(inst, SIGMA_Y)
-        out[i, 2] = disturbance(inst, SIGMA_Y, optimal_correction(m.axis, SIGMA_Y))
+        out[i, 2] = disturbance(inst, SIGMA_Y, optimal_correction(m.axis))
     return out
 
 
@@ -116,7 +116,7 @@ def test_criterion_3_tight_bound_saturation():
 def test_criterion_4_correction_grid_search():
     start = time.perf_counter()
     lattice = np.radians(np.arange(0.0, 180.1, 22.5))
-    res = correction_grid_search(math.radians(50.0), SIGMA_Y, lattice, lattice)
+    res = correction_grid_search(math.radians(50.0), lattice, lattice)
     argmin_deg = (math.degrees(res.best_vartheta), math.degrees(res.best_phi))
     dev = abs(res.d_min - H_SIN50)
     elapsed = time.perf_counter() - start
@@ -134,7 +134,7 @@ def test_criterion_5_counting_pipeline():
     for deg in PAPER_GRID_DEG:
         theta = math.radians(deg)
         m = polar_observable(theta)
-        c_opt = optimal_correction(m.axis, SIGMA_Y)
+        c_opt = optimal_correction(m.axis)
         table_a = simulate_intensities(m, None, "A", 10**6, 0, "exact")
         table_b0 = simulate_intensities(m, None, "B", 10**6, 0, "exact")
         table_bc = simulate_intensities(m, c_opt, "B", 10**6, 0, "exact",
@@ -153,7 +153,7 @@ def test_criterion_5_counting_pipeline():
         for deg in PAPER_GRID_DEG:
             theta = math.radians(deg)
             m = polar_observable(theta)
-            c_opt = optimal_correction(m.axis, SIGMA_Y)
+            c_opt = optimal_correction(m.axis)
             table_a = simulate_intensities(m, None, "A", 10**6, seed, "multinomial")
             table_b0 = simulate_intensities(m, None, "B", 10**6, seed, "multinomial")
             table_bc = simulate_intensities(m, c_opt, "B", 10**6, seed, "multinomial",

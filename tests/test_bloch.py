@@ -142,7 +142,7 @@ class TestInstrument:
         from noisedist import optimal_correction
 
         m = polar_observable(math.radians(50.0))
-        inst = ProjectiveInstrument(m, optimal_correction(m.axis, SIGMA_Y))
+        inst = ProjectiveInstrument(m, optimal_correction(m.axis))
         prob, out = inst.apply(m.eigenstate(1), 1)
         assert prob == pytest.approx(1.0, abs=1e-15)
         assert out.direction == SIGMA_Y.axis

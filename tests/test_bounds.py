@@ -28,7 +28,6 @@ from noisedist import (
     ValidationError,
     binary_entropy,
     boundary_curve,
-    c_ab,
     check_bounds,
     correction_grid_search,
     disturbance,
@@ -55,43 +54,25 @@ from scalar_reference import (
 H_HALF = 0.81127812445913286
 H_SIN45 = 0.6008760366928561
 H_SIN50 = 0.52061073185482543
-CAB_60 = 0.41503749927884382      # -log2((1 + cos 60)/2)
 F_30 = 0.72244234467782804        # f at 30 degrees
 MU_SUM_45 = 1.2017520733857122    # 2 h(cos 45)
 
 
-class TestCab:
-    def test_complementary_pair_is_one_bit(self):
-        assert c_ab(SIGMA_Z, SIGMA_Y) == 1.0
-
-    def test_identical_observables(self):
-        assert c_ab(SIGMA_Z, SIGMA_Z) == 0.0
-
-    def test_sixty_degree_axes(self):
-        assert c_ab(SIGMA_Z, polar_observable(math.radians(60.0))) == pytest.approx(
-            CAB_60, abs=1e-12)
-
-    def test_sign_insensitive(self):
-        flipped = Observable(BlochVector(0.0, 0.0, -1.0))
-        assert c_ab(flipped, SIGMA_Y) == 1.0
-        assert c_ab(flipped, SIGMA_Z) == 0.0
-
-
 class TestOptimalCorrection:
     def test_uncrossed_at_50_degrees(self):
-        cmap = optimal_correction(polar_observable(math.radians(50.0)).axis, SIGMA_Y)
+        cmap = optimal_correction(polar_observable(math.radians(50.0)).axis)
         assert cmap.target_plus.direction == SIGMA_Y.axis
         assert cmap.target_minus.direction == -SIGMA_Y.axis
 
     def test_exact_tie_takes_uncrossed_branch(self):
         # b.m = 0 exactly for m = -z
-        cmap = optimal_correction(BlochVector(0.0, 0.0, -1.0), SIGMA_Y)
+        cmap = optimal_correction(BlochVector(0.0, 0.0, -1.0))
         assert cmap.target_plus.direction == SIGMA_Y.axis
 
     def test_crossed_branch_below_the_plane(self):
         # theta = 225 deg has y.m = sin(225) < 0
         m = polar_observable(math.radians(225.0))
-        cmap = optimal_correction(m.axis, SIGMA_Y)
+        cmap = optimal_correction(m.axis)
         assert cmap.target_plus.direction == -SIGMA_Y.axis
         assert cmap.target_minus.direction == SIGMA_Y.axis
         inst = ProjectiveInstrument(m)
@@ -100,25 +81,25 @@ class TestOptimalCorrection:
 
     def test_130_degrees_matches_50(self):
         m = polar_observable(math.radians(130.0))
-        cmap = optimal_correction(m.axis, SIGMA_Y)
+        cmap = optimal_correction(m.axis)
         assert cmap.target_plus.direction == SIGMA_Y.axis  # sin(130) > 0: uncrossed
         d = disturbance(ProjectiveInstrument(m), SIGMA_Y, cmap)
         assert d == pytest.approx(H_SIN50, abs=1e-12)
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ValidationError):
-            optimal_correction(BlochVector(0.0, 0.0, 0.5), SIGMA_Y)
+            optimal_correction(BlochVector(0.0, 0.0, 0.5))
         with pytest.raises(ValidationError):
-            optimal_correction((0.0, 0.0, 1.0), SIGMA_Y)
+            optimal_correction((0.0, 0.0, 1.0))
         with pytest.raises(ValidationError):
-            optimal_correction(BlochVector(0.0, math.nan, 1.0), SIGMA_Y)
+            optimal_correction(BlochVector(0.0, math.nan, 1.0))
 
 
 class TestGridSearch:
     COARSE = np.radians(np.arange(0.0, 180.1, 22.5))
 
     def test_reproduces_published_argmin(self):
-        res = correction_grid_search(math.radians(50.0), SIGMA_Y, self.COARSE, self.COARSE)
+        res = correction_grid_search(math.radians(50.0), self.COARSE, self.COARSE)
         assert math.degrees(res.best_vartheta) == 90.0
         assert math.degrees(res.best_phi) == 90.0
         assert res.d_min == pytest.approx(H_SIN50, abs=1e-9)
@@ -126,7 +107,7 @@ class TestGridSearch:
     def test_surface_matches_independent_closed_form(self):
         # oracle: D = h(sin(theta_m) sin(vartheta) sin(phi)) for B = sigma_y
         theta_m = math.radians(50.0)
-        res = correction_grid_search(theta_m, SIGMA_Y, self.COARSE, self.COARSE)
+        res = correction_grid_search(theta_m, self.COARSE, self.COARSE)
         expected = binary_entropy(
             math.sin(theta_m) * np.outer(np.sin(self.COARSE), np.sin(self.COARSE)))
         assert np.max(np.abs(res.surface - expected)) <= 1e-12
@@ -152,13 +133,13 @@ class TestGridSearch:
                 assert surface[i, j] == scalar_disturbance(inst, SIGMA_Y, cmap)
 
     def test_measuring_b_allows_zero_disturbance(self):
-        res = correction_grid_search(math.pi / 2, SIGMA_Y, self.COARSE, self.COARSE)
+        res = correction_grid_search(math.pi / 2, self.COARSE, self.COARSE)
         assert res.d_min == 0.0
         assert (math.degrees(res.best_vartheta), math.degrees(res.best_phi)) == (90.0, 90.0)
 
     def test_refining_the_grid_never_beats_the_optimum(self):
         fine = np.radians(np.arange(80.0, 100.1, 1.0))
-        res = correction_grid_search(math.radians(50.0), SIGMA_Y, fine, fine)
+        res = correction_grid_search(math.radians(50.0), fine, fine)
         assert res.d_min >= H_SIN50 - 1e-9
         assert res.d_min == pytest.approx(H_SIN50, abs=1e-9)
 
@@ -166,16 +147,16 @@ class TestGridSearch:
     def test_refinement_fixed_point_at_other_angles(self, theta_m_deg):
         floor = binary_entropy(abs(math.sin(math.radians(theta_m_deg))))
         fine = np.radians(np.arange(80.0, 100.1, 1.0))
-        res = correction_grid_search(math.radians(theta_m_deg), SIGMA_Y, fine, fine)
+        res = correction_grid_search(math.radians(theta_m_deg), fine, fine)
         assert res.d_min >= floor - 1e-9
         assert res.d_min == pytest.approx(floor, abs=1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
-            correction_grid_search(1.0, SIGMA_Y, [], [0.1])
+            correction_grid_search(1.0, [], [0.1])
 
     def test_csv_export(self):
-        res = correction_grid_search(math.radians(50.0), SIGMA_Y, self.COARSE, self.COARSE)
+        res = correction_grid_search(math.radians(50.0), self.COARSE, self.COARSE)
         buf = io.StringIO()
         write_table(buf, {"vartheta_deg": np.degrees(res.varthetas)[:, None],
                           "phi_deg": np.degrees(res.phis)[None, :], "D": res.surface}, "csv")
@@ -219,10 +200,11 @@ class TestCheckBounds:
             assert (checked[1][k], checked[2][k]) == scalar[1:]
         assert isinstance(tight_value(H_SIN45, H_HALF), float)
 
-    def test_non_complementary_pair_lowers_the_general_bound(self):
-        # N + D = 0.5 is below c_AB = 1 but above c_AB = 0.415 at 60 degrees
-        assert not check_bounds(0.2, 0.3)[1]
-        assert check_bounds(0.2, 0.3, SIGMA_Z, polar_observable(math.radians(60.0)))[1]
+    def test_complementary_pair_is_one_bit(self):
+        # c_AB of (sigma_z, sigma_y) is 1 bit: N + D = 1 passes the general
+        # bound, and 2e-9 bits less fails it at the default 1e-9 slack
+        assert check_bounds(0.4, 0.6)[1]
+        assert not check_bounds(0.4, 0.6 - 2e-9)[1]
 
     def test_scalar_input_gives_a_float_and_two_bools(self):
         tight, general, satisfied = check_bounds(0.3, 0.9)
@@ -321,7 +303,7 @@ class TestCorrectionOrdering:
             m = polar_observable(float(theta))
             inst = ProjectiveInstrument(m)
             d0 = disturbance(inst, SIGMA_Y)
-            dopt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis, SIGMA_Y))
+            dopt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis))
             assert dopt <= d0 + 1e-12
             if abs(d0 - dopt) <= 1e-12:
                 equal_at.append(round(math.degrees(float(theta))))

@@ -193,7 +193,7 @@ class TestSweep:
             m = polar_observable(math.radians(theta_deg))
             inst = ProjectiveInstrument(m)
             post = {"none": None,
-                    "optimal": optimal_correction(m, SIGMA_Y),
+                    "optimal": optimal_correction(m),
                     "custom": CorrectionMap.from_rotation_angles(*map(math.radians, target)),
                     }[correction]
             assert (row["theta_deg"], row["N"], row["D0"], row["Dcorr"]) == (
@@ -972,7 +972,7 @@ class TestSizeCaps:
         class Reached(Exception):
             pass
 
-        def stop(theta_m, b, varthetas, phis):
+        def stop(theta_m, varthetas, phis):
             raise Reached(varthetas.size * phis.size)
 
         monkeypatch.setattr(noisedist.cli, "correction_grid_search", stop)

@@ -53,7 +53,7 @@ PAPER_GRID_DEG = list(range(0, 91, 10)) + list(range(100, 181, 20))
 def make_tables(theta_deg, shots, seed, mode, corrected=False):
     m = polar_observable(math.radians(theta_deg))
     if corrected:
-        corr = optimal_correction(m.axis, SIGMA_Y)
+        corr = optimal_correction(m.axis)
         label = "optimal"
     else:
         corr, label = None, "identity"
@@ -97,7 +97,7 @@ class TestSimulate:
         for deg in np.concatenate([np.arange(0.0, 181.0, 7.5), rng.uniform(0, 360, 20)]):
             m = polar_observable(math.radians(deg))
             custom = CorrectionMap.from_rotation_angles(*rng.uniform(0.0, math.pi, 2))
-            for corr in (None, optimal_correction(m.axis, SIGMA_Y), custom):
+            for corr in (None, optimal_correction(m.axis), custom):
                 table = simulate_intensities(m, corr, family, 777, 0, "exact", efficiency=0.7)
                 expected = scalar_exact_counts(m, corr, input_obs, SIGMA_Y, 777, 0.7)
                 assert np.array_equal(table.counts, expected)
@@ -117,7 +117,7 @@ class TestSimulate:
     def test_identity_and_corrected_streams_are_independent(self):
         m = polar_observable(math.radians(50.0))
         plain = simulate_intensities(m, None, "B", 10000, 5, "multinomial")
-        corr = simulate_intensities(m, optimal_correction(m.axis, SIGMA_Y), "B", 10000, 5,
+        corr = simulate_intensities(m, optimal_correction(m.axis), "B", 10000, 5,
                                     "multinomial", correction_label="optimal")
         assert not np.array_equal(plain.counts, corr.counts)
 

@@ -313,7 +313,7 @@ class TestDisturbance:
         m = polar_observable(math.radians(45.0))
         inst = ProjectiveInstrument(m)
         assert disturbance(inst, SIGMA_Y) == pytest.approx(H_HALF, abs=1e-12)
-        copt = optimal_correction(m.axis, SIGMA_Y)
+        copt = optimal_correction(m.axis)
         assert disturbance(inst, SIGMA_Y, copt) == pytest.approx(H_SIN45, abs=1e-12)
 
     def test_matches_closed_forms_on_grid(self):
@@ -321,7 +321,7 @@ class TestDisturbance:
             m = polar_observable(float(theta))
             inst = ProjectiveInstrument(m)
             d0 = disturbance(inst, SIGMA_Y)
-            dopt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis, SIGMA_Y))
+            dopt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis))
             assert d0 == pytest.approx(theory_disturbance_uncorrected(theta), abs=1e-12)
             assert dopt == pytest.approx(theory_disturbance_optimal(theta), abs=1e-12)
 
@@ -339,7 +339,7 @@ class TestDisturbance:
         for theta in thetas:
             m = polar_observable(float(theta))
             inst = ProjectiveInstrument(m)
-            d_opt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis, SIGMA_Y))
+            d_opt = disturbance(inst, SIGMA_Y, optimal_correction(m.axis))
             vecs = rng.normal(size=(1000, 2, 3))
             vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
             for pair in vecs:
@@ -392,7 +392,7 @@ class TestKernelReductions:
             m = polar_observable(float(theta))
             inst = ProjectiveInstrument(m)
             assert disturbance(inst, SIGMA_Y) == scalar_disturbance(inst, SIGMA_Y)
-            copt = optimal_correction(m.axis, SIGMA_Y)
+            copt = optimal_correction(m.axis)
             assert disturbance(inst, SIGMA_Y, copt) == scalar_disturbance(inst, SIGMA_Y, copt)
 
     def test_disturbance_with_random_target_pairs(self):

@@ -176,6 +176,12 @@ GOLDEN = {
         ["correct-search", "--theta-m", "90", "--grid", "1.5,2", "--format", "json"],
         "d41577b4f6edbae2890f34668992456f7e1d1ca6db99f6337567d6dc418dc420",
     ),
+    # b.m < 0 and steps that miss 90 degrees: the argmin is off the lattice's
+    # optimum; the same bytes at numpy's AVX2 level
+    "correct-search-off-lattice-json": (
+        ["correct-search", "--theta-m", "-40", "--grid", "7.3,11.1", "--format", "json"],
+        "82e893abcc2f269868ee41cbf668e286412e7bef423d9b476f6c236666503a5b",
+    ),
 }
 
 # (argv, exit code, SHA-256 of stdout) of the verify battery; the second is

@@ -1,5 +1,6 @@
-"""The public surface of noisedist, its import graph, and the names the
-benchmark's span tracer (perfbench/tracing.py) patches by name. A name
+"""The public surface of noisedist, its import graph, the README's library
+quickstart, and the names the benchmark's span tracer
+(perfbench/tracing.py) patches by name. A name
 removed from the package must be removed from this list on purpose; a name
 the tracer lists must keep resolving, or traced benchmark runs break, unless
 STALE_TRACED lists it. tracing.py is only read here."""
@@ -7,12 +8,18 @@ STALE_TRACED lists it. tracing.py is only read here."""
 import ast
 import graphlib
 import importlib
+import inspect
+import os
+import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import noisedist
+import noisedist.counting
 from test_tracing import _load_tracing
 
 PUBLIC_NAMES = [
@@ -21,7 +28,7 @@ PUBLIC_NAMES = [
     "MaassenUffinkReport", "NDPoint", "NoiseDistError", "OUTCOMES", "Observable",
     "OracleReport", "ProjectiveInstrument", "PureState", "SIGMA_Y", "SIGMA_Z",
     "ValidationError", "binary_entropy", "binary_entropy_derivative", "binary_entropy_inverse",
-    "boundary_curve", "c_ab", "check_bounds", "correction_grid_search", "disturbance",
+    "boundary_curve", "check_bounds", "correction_grid_search", "disturbance",
     "disturbance_bits", "disturbance_surface", "ensemble_boundary_oracle", "joint_tables",
     "maassen_uffink_compare", "nd_from_counts", "noise", "noise_bits", "optimal_correction",
     "polar_angle", "polar_observable", "simulate_intensities", "theory_disturbance_optimal",
@@ -33,6 +40,7 @@ STALE_TRACED = {
     "entropy.sequential_joint", "entropy.conditional_entropy", "counting.estimate_probabilities",
     "counting.bayes_invert", "bounds.surface_to_csv", "bounds.boundary_to_csv",
     "bounds.ensemble_point", "bounds.signed_boundary_distance", "bounds.boundary_disturbance",
+    "bounds.c_ab",
 }
 
 
@@ -40,6 +48,28 @@ def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(noisedist).items()
                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_experiment_functions_take_no_observable():
+    # A = sigma_z and B = sigma_y are constants of the experiment layer
+    functions = [noisedist.check_bounds, noisedist.simulate_intensities,
+                 noisedist.counting._draw_counts, noisedist.disturbance_surface,
+                 noisedist.correction_grid_search, noisedist.optimal_correction]
+    assert {f.__name__: {"a", "b"} & set(inspect.signature(f).parameters)
+            for f in functions} == {f.__name__: set() for f in functions}
+
+
+def test_readme_quickstart_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0].endswith(" True True")
 
 
 def _resolves(dotted: str) -> bool:
