@@ -25,6 +25,7 @@ the estimates can differ in the last bit between CPUs.
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -83,6 +84,46 @@ def _stream_words(seeds, families, key_floats):
                 yield np.array(head + tail, np.uint32)
 
 
+# SeedSequence.generate_state hashes pool word i % 4 into state word i by
+# XOR with _HASH[i], multiplication by _HASH[i + 1] and w ^= w >> 16, where
+# _HASH[i] = INIT_B * MULT_B**i mod 2**32; a PCG64 takes 8 such words
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(9)], np.uint32)
+
+
+def _state_words(pools):
+    """SeedSequence(words).generate_state(4, np.uint64) of every stream at
+    once, from pools (streams, 8) uint32 whose first half holds the stream's
+    SeedSequence pool: hashed in place, then read as little-endian uint64
+    words, as numpy reads them."""
+    pools[:, 4:] = pools[:, :4]
+    pools ^= _HASH[:-1]
+    pools *= _HASH[1:]
+    pools ^= pools >> 16
+    return pools.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _state_row_type():
+    """The seed sequence of one stream's PCG64, made of its row of
+    _state_words; numpy still does PCG64's own seeding from it. Defined on
+    the first sampled draw, so that importing noisedist does not load
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateRow(ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a stream holds 4 uint64 state words, "
+                                 f"not {n_words} of {np.dtype(dtype)}")
+            return self.row
+
+    return StateRow
+
+
 def _dot(u, v):
     """u . v over the last axis, summed left to right as BlochVector.dot."""
     uv = u * v
@@ -120,20 +161,26 @@ def _draw_counts(seeds, families, axes, targets, shots, mode, efficiency=1.0) ->
     key_floats = np.empty(targets.shape[:2] + (9,))
     key_floats[..., :3] = axes[:, None]
     key_floats[..., 3:] = targets.reshape(targets.shape[:2] + (6,))
+    p, means = joint.reshape(-1, 4), means.reshape(-1, 4)
+    # numpy's SeedSequence mixes each stream's words into its pool, and the
+    # state words PCG64 asks of it are hashed for every stream at once
+    pools, seed_sequence = np.empty((len(seeds) * len(p), 8), np.uint32), np.random.SeedSequence
+    for index, words in enumerate(_stream_words(seeds, families, key_floats)):
+        pools[index, :4] = seed_sequence(words).pool
     # the Poisson cells and the binomial thinning are drawn one scalar call
     # per cell: the same sampler on the same stream, in the same order, as
     # one array call, without numpy's per-call checks of array arguments
-    p, means = joint.reshape(-1, 4), means.reshape(-1, 4).tolist()
-    counts = np.empty((len(seeds) * len(p), 4))
-    for index, words in enumerate(_stream_words(seeds, families, key_floats)):
-        rng = np.random.default_rng(np.random.SeedSequence(words))
+    counts = np.empty((len(pools), 4))
+    state_row, generator, pcg64 = _state_row_type(), np.random.Generator, np.random.PCG64
+    for index, state in enumerate(_state_words(pools)):
+        rng = generator(pcg64(state_row(state)))
         row = index % len(p)
         if mode == "multinomial":
             cells = rng.multinomial(shots, p[row])
             if efficiency < 1.0:
                 cells = [rng.binomial(n, efficiency) for n in cells.tolist()]
         else:  # poisson
-            cells = [rng.poisson(m) for m in means[row]]
+            cells = [rng.poisson(m) for m in means[row].tolist()]
         counts[index] = cells
     return counts.reshape((len(seeds),) + joint.shape)
 

@@ -722,6 +722,15 @@ class TestRowBlocks:
         # columns and two bool columns
         assert _traced_peak(lambda: main(argv)) < 4 * (8 * 6 + 2) * angles
 
+    def test_sampled_sweep_peak_per_angle(self, tmp_path):
+        # 9,001 angles in one block, six streams an angle: about 1,420 traced
+        # bytes an angle, 384 of them the pools and the hash's temporary (64
+        # bytes a stream). A SeedSequence object kept per stream adds 2,900
+        angles = 9_001
+        argv = ["sweep", "--theta", "0:180:0.02", "--mode", "multinomial", "--shots", "1000",
+                "--out", str(tmp_path / "s.csv")]
+        assert _traced_peak(lambda: main(argv)) < 1_800 * angles
+
     def test_surface_peak_is_a_small_multiple_of_the_surface(self):
         grid = np.radians(np.arange(0.0, 180.25, 0.5))  # 361 x 361 cells
         peak = _traced_peak(lambda: disturbance_surface(math.radians(37.5), grid, grid))

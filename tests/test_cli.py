@@ -814,6 +814,28 @@ def test_csv_commands_do_not_import_json():
     assert proc.stdout.count('"rows": [') == 1
 
 
+def test_only_sampled_commands_import_numpy_random():
+    # numpy.random adds 11-15 ms to an import; only a sampled draw needs it
+    src = str(Path(noisedist.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from noisedist.cli import main\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "for argv in (['sweep', '--theta', '10,50'], ['correct-search', '--grid', '30'],\n"
+        "             ['boundary', '--samples', '11'], ['simulate', '--mode', 'exact']):\n"
+        "    assert main(argv) == 0\n"
+        "    assert 'numpy.random' not in sys.modules, argv\n"
+        "assert main(['sweep', '--theta', '10,50', '--mode', 'multinomial']) == 0\n"
+        "assert 'numpy.random' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(SWEEP_CSV_HEADER) == 2
+
+
 #: Values per option that keep each command to milliseconds (small shots,
 #: trials and samples, coarse grids), with malformed and out-of-range ones.
 #: "{tmp}" stands for a scratch directory.

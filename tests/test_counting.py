@@ -35,6 +35,9 @@ from noisedist.counting import (
     _count_joint,
     _draw_counts,
     _input_entropy_given_out,
+    _int_words,
+    _state_row_type,
+    _state_words,
     _stream_words,
 )
 from noisedist.entropy import _cond_entropy_given_last
@@ -236,6 +239,41 @@ class TestStreamKeys:
         assert words.tolist() == [0] * 12
         as_halves = np.concatenate([[0, 0, 0], np.zeros(9).view(np.uint32)]).astype(np.uint32)
         assert not np.array_equal(_state(words), _state(as_halves))
+
+
+# word lists as _stream_words makes them, with the words of the edge seeds
+# and of the edge floats' bit patterns among the random ones
+_EDGE_WORDS = sorted({w for n in EDGE_SEEDS + list(map(_bits, EDGE_FLOATS))
+                      for w in _int_words(n)})
+_WORD_LISTS = st.lists(st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=24)
+
+
+class TestStateWords:
+    """The state words hashed for every stream at once, and the Generator
+    built on them, against numpy's own SeedSequence, which is the oracle."""
+
+    @given(st.lists(_WORD_LISTS, min_size=1, max_size=6))
+    @example([[0], [2**32 - 1] * 24, _EDGE_WORDS])
+    @settings(max_examples=200, deadline=None)
+    def test_equal_numpy_seed_sequence(self, keys):
+        sequences = [np.random.SeedSequence(np.array(words, np.uint32)) for words in keys]
+        pools = np.empty((len(keys), 8), np.uint32)
+        pools[:, :4] = [seq.pool for seq in sequences]
+        state_row = _state_row_type()
+        for row, seq in zip(_state_words(pools), sequences):
+            assert np.array_equal(row, seq.generate_state(4, np.uint64))
+            rng = np.random.Generator(np.random.PCG64(state_row(row)))
+            assert rng.bit_generator.state == np.random.default_rng(seq).bit_generator.state
+
+    def test_state_row_serves_pcg64s_request_only(self):
+        row = _state_words(np.zeros((1, 8), np.uint32))[0]
+        seq = _state_row_type()(row)
+        assert seq.generate_state(4, np.uint64) is row
+        assert seq.generate_state(4, "u8") is row
+        for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.int64)):
+            with pytest.raises(ValueError):
+                seq.generate_state(n_words, dtype)
 
 
 _ANGLES = st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=4)
