@@ -26,7 +26,7 @@ from .entropy import (
     disturbance_bits,
 )
 from .errors import DomainError, ValidationError, _count, _float, _floats
-from .tables import _lattice_blocks, _per_distinct, _row_blocks
+from .tables import _gathered, _lattice_blocks, _per_distinct, _row_blocks
 
 #: Size caps, checked before anything is allocated: cells of a
 #: correction-target lattice, boundary samples or ensemble-oracle members
@@ -213,12 +213,23 @@ def boundary_curve(samples: int) -> BoundaryCurve:
     Endpoints are (0, 1) and (1, 0) exactly; every point satisfies
     g[N]^2 + g[D]^2 = 1 within 1e-10. At most MAX_SURFACE_CELLS samples.
     """
-    theta = np.linspace(0.0, math.pi / 2, _count("samples", samples, 2, MAX_SURFACE_CELLS))
-    return BoundaryCurve(
-        theta,
-        _row_blocks(lambda t: binary_entropy(np.cos(t)), theta),
-        _row_blocks(lambda t: binary_entropy(np.sin(t)), theta),
-    )
+    samples = _count("samples", samples, 2, MAX_SURFACE_CELLS)
+    return BoundaryCurve(*_gathered(samples, _boundary_blocks(samples)))
+
+
+def _boundary_blocks(samples: int):
+    """boundary_curve(samples), for a count already checked, one row block of
+    _lattice_blocks at a time: (span, the BoundaryCurve of the samples in
+    span). The angles are those of np.linspace(0, pi/2, samples), bit for
+    bit: k * step with step = (pi/2) / (samples - 1), and pi/2 exactly last."""
+    step = (math.pi / 2) / (samples - 1)
+    for span, _ in _lattice_blocks(samples, 1):
+        theta = np.arange(span.start, span.stop, dtype=float)
+        theta *= step
+        if span.stop == samples:
+            theta[-1] = math.pi / 2
+        yield span, BoundaryCurve(theta, binary_entropy(np.cos(theta)),
+                                  binary_entropy(np.sin(theta)))
 
 
 def _boundary_disturbance_of_g(g_noise):

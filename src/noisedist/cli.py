@@ -24,7 +24,7 @@ from .bloch import _A_AXIS, _B_AXIS, CorrectionMap, polar_observable
 from .bounds import (
     MAX_SURFACE_CELLS,
     MAX_TRIALS,
-    boundary_curve,
+    _boundary_blocks,
     check_bounds,
     correction_grid_search,
     ensemble_boundary_oracle,
@@ -46,7 +46,7 @@ from .entropy import (
     theory_noise,
 )
 from .errors import NoiseDistError, ValidationError
-from .tables import _row_blocks, write_table
+from .tables import _lattice_blocks, write_table
 
 if TYPE_CHECKING:  # a valid command line never imports argparse (see main)
     import argparse
@@ -63,7 +63,9 @@ EXIT_VERIFY_FAILED = 1
 #: a --theta grid, cells of a correct-search lattice or boundary samples
 #: (bounds.MAX_SURFACE_CELLS), and ensemble-oracle trials (bounds.MAX_TRIALS;
 #: about 172 MB peak at the cap). The library checks the last two again.
-#: Shots are capped by counting.MAX_SHOTS.
+#: Shots are capped by counting.MAX_SHOTS. A sweep holds its grid whole (8
+#: bytes a point, 8 MB at the cap) and computes and writes its rows one
+#: block at a time, as boundary does its samples, so neither holds its table.
 MAX_THETA_POINTS = 1_000_000
 
 SWEEP_CSV_HEADER = "theta_deg,N,D0,Dcorr,sum_ND,tight_value,general_ok,tight_ok"
@@ -274,10 +276,13 @@ def resolve_out_path(out: str | None) -> Path | None:
 @contextlib.contextmanager
 def _output(out: str | None):
     """The output stream: the --out file, or stdout. Enter it only after all
-    validation and computation, so a usage error leaves no file behind. A
-    write that fails removes the partial file and raises ValidationError.
-    On stdout, a reader that stops early (`| head`) ends the output quietly
-    and the command keeps its exit code."""
+    validation and, for a table written in row blocks, after its first block
+    is computed, so a usage error or a failing first block leaves no file
+    behind and writes nothing. A later block that raises, or a write that
+    fails, removes the partial file; a failed write raises ValidationError.
+    On stdout the rows already written stay, and the error still exits 2. A
+    reader that stops early (`| head`) ends the output quietly and the
+    command keeps its exit code."""
     path = resolve_out_path(out)
     if path is None:
         try:
@@ -399,12 +404,14 @@ def run_sweep(opt) -> int:
     def sweep_rows(thetas_deg):
         n, d0, dcorr = _sweep_columns(thetas_deg, opt.mode, opt.correction, target, opt.shots,
                                       opt.seed)
-        tight, general_ok, tight_ok = check_bounds(n, np.stack([d0, dcorr]), tolerance=tolerance)
-        return n, d0, dcorr, n + dcorr, tight[1], general_ok.all(axis=0), tight_ok[1]
+        # the tight bound of Dcorr alone; the general one of D0 and Dcorr
+        tight, general_ok, tight_ok = check_bounds(n, dcorr, tolerance=tolerance)
+        general_ok &= n + d0 >= 1.0 - tolerance
+        return [thetas_deg, n, d0, dcorr, n + dcorr, tight, general_ok, tight_ok]
 
     # row-blocked: a sampled stream is keyed by its angle, so the blocks
     # change no count, and they run in order, so the first empty table raises
-    columns = dict(zip(SWEEP_CSV_HEADER.split(","), (thetas, *_row_blocks(sweep_rows, thetas))))
+    blocks = (sweep_rows(thetas[span]) for span, _ in _lattice_blocks(thetas.size, 1))
     config = {
         "mode": opt.mode,
         "correction": opt.correction if opt.correction != "custom" else f"custom({opt.target})",
@@ -412,8 +419,23 @@ def run_sweep(opt) -> int:
         "seed": int(opt.seed),
         "tolerance": tolerance,
     }
+    return _write_blocks(opt, SWEEP_CSV_HEADER, blocks, {"config": config})
+
+
+def _write_blocks(opt, header, blocks, meta) -> int:
+    """Write a table of row blocks (see tables.write_table) to opt.out in
+    opt.format. The first block is computed before the output is opened,
+    each later one after the block before it is written, and no block is
+    held once it is written."""
+    blocks = iter(blocks)
+    held = [next(blocks)]
+
+    def in_turn():
+        yield held.pop()
+        yield from blocks
+
     with _output(opt.out) as stream:
-        write_table(stream, columns, opt.format, meta={"config": config})
+        write_table(stream, (header.split(","), in_turn()), opt.format, meta=meta)
     return EXIT_OK
 
 
@@ -461,14 +483,10 @@ def run_correct_search(opt) -> int:
 
 
 def run_boundary(opt) -> int:
-    curve = boundary_curve(opt.samples)
-    columns = dict(zip(BOUNDARY_CSV_HEADER.split(","), [
-        np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
-        _row_blocks(tight_value, curve.noise, curve.disturbance),
-    ]))
-    with _output(opt.out) as stream:
-        write_table(stream, columns, opt.format, meta={"samples": int(opt.samples)})
-    return EXIT_OK
+    blocks = ([np.degrees(curve.theta), curve.noise, curve.disturbance, 1.0 - curve.noise,
+               tight_value(curve.noise, curve.disturbance)]
+              for _, curve in _boundary_blocks(opt.samples))
+    return _write_blocks(opt, BOUNDARY_CSV_HEADER, blocks, {"samples": int(opt.samples)})
 
 
 # ------------------------------------------------------------- simulate
@@ -515,12 +533,14 @@ def _verify_checks(opt):
     # bound checks run on (possibly perturbed) disturbances; the perturbation
     # is the documented negative control and must trip these two checks
     d_chk = np.clip(np.stack([d0_pipe, dopt_pipe]) - opt.perturb_disturbance, 0.0, 1.0)
-    tight, general_ok, _ = check_bounds(n_pipe, d_chk)
+    # the tight bound of Dopt alone; the general one of D0 and Dopt
+    tight, general_ok, _ = check_bounds(n_pipe, d_chk[1])
+    general_ok &= n_pipe + d_chk[0] >= 1.0 - 1e-9
     slack = np.min(n_pipe + d_chk) - 1.0
     checks.append(("general-bound", bool(general_ok.all()),
                    f"min(N+D)-c_AB={slack:.3e} over {thetas.size} angles, both corrections"))
 
-    tight_dev = np.max(np.abs(tight[1] - 1.0))
+    tight_dev = np.max(np.abs(tight - 1.0))
     checks.append(("tight-saturation", tight_dev <= 1e-9,
                    f"max|g[N]^2+g[Dopt]^2-1|={tight_dev:.3e}"))
 

@@ -6,7 +6,11 @@ so no output is ever held in memory whole. Its bytes equal what `csv.writer`
 (floats as `repr`, booleans as `true`/`false`) and
 `json.dumps(payload, indent=2, sort_keys=True) + "\\n"` produce for the same
 table. The JSON envelope is that very dump of the meta with an empty rows
-list, split at the rows key's line; the rows stream in its place.
+list, split at the rows key's line; the rows stream in its place. A table of
+rows may also come as a sequence of row blocks, which the writer formats and
+writes one at a time: a caller that computes its blocks as they are asked
+for (the boundary and the sweep commands) holds one block of its result, not
+the whole table.
 
 A table is either a list of rows (columns of equal length: 1-D arrays, or
 lists of Python scalars of one type) or a lattice (2-D arrays, rows in
@@ -20,8 +24,9 @@ its own, so an axis of up to _BLOCK_SIZE values is formatted once per lattice.
 
 This module also owns the row blocking of every bounded kernel: the
 correction surface, the boundary, the sweep rows (analytic and sampled) and
-the ensemble oracle evaluate in the blocks of _row_blocks and
-_lattice_blocks, at most _BLOCK_SIZE items each.
+the ensemble oracle evaluate in the blocks of _lattice_blocks, at most
+_BLOCK_SIZE items each; _gathered and _row_blocks collect a blocked result
+into whole columns for the callers that need it whole.
 _per_distinct evaluates an elementwise function of float64 cells once per
 distinct bit pattern of a block and gathers the results back into cell
 order, with a memo that carries results over to the later blocks of the same
@@ -45,7 +50,9 @@ CHUNK_ROWS = 4096
 
 # Items per block of the row-blocked kernels and of the lattice formatter:
 # boundary samples, sweep angles, ensemble-oracle trials, and lattice cells
-# of the disturbance surface and of a written lattice. A block pays a fixed cost of
+# of the disturbance surface and of a written lattice. The boundary and sweep
+# commands compute and write their tables one block at a time, so a block is
+# also what they hold of their result. A block pays a fixed cost of
 # small numpy calls. The least time of a one-item block, on one core of 2, is
 # about 140 us for the surface, 240 us for the boundary with its tight_value
 # column and 380 us for the oracle, most of it binary_entropy_inverse and
@@ -93,18 +100,25 @@ def _lattice_blocks(n_rows: int, n_cols: int):
 def _row_blocks(kernel, *rows):
     """kernel(*rows) for a kernel that maps rows to an array, or a tuple of
     arrays, of one result per row, evaluated in consecutive blocks of at most
-    _BLOCK_SIZE rows. Every result row depends only on the same rows of the
-    inputs, so the blocks write the values of one whole call, bit for bit,
-    into columns allocated at the first block, while only one block's
-    temporaries are alive. A single block returns the kernel's own arrays."""
-    spans = [span for span, _ in _lattice_blocks(len(rows[0]), 1)]
-    if len(spans) <= 1:
-        return kernel(*rows)
-    for span in spans:
-        part = kernel(*(r[span] for r in rows))
+    _BLOCK_SIZE rows and collected by _gathered. Every result row depends
+    only on the same rows of the inputs, so the blocks give the values of one
+    whole call, bit for bit, while only one block's temporaries are alive."""
+    n = len(rows[0])
+    return _gathered(n, ((span, kernel(*(r[span] for r in rows)))
+                         for span, _ in _lattice_blocks(n, 1)))
+
+
+def _gathered(n: int, blocks):
+    """Whole columns of n rows from `blocks`, which yields (span, part) for
+    the consecutive row spans of _lattice_blocks(n, 1), part being an array,
+    or a tuple of arrays, of the rows in span. The columns are allocated at
+    the first block; a single block's part is returned as it is, no copy."""
+    for span, part in blocks:
+        if span.stop - span.start == n:
+            return part
         parts = part if isinstance(part, tuple) else (part,)
         if span.start == 0:
-            out = tuple(np.empty(len(rows[0]), p.dtype) for p in parts)
+            out = tuple(np.empty(n, p.dtype) for p in parts)
         for column, p in zip(out, parts):
             column[span] = p
     return out if isinstance(part, tuple) else out[0]
@@ -181,23 +195,31 @@ def _per_distinct(fn, values, memo: list) -> np.ndarray:
     return out[inverse].reshape(np.shape(values))
 
 
-def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
+def write_table(stream, columns, fmt: str, meta: dict | None = None,
                 rows_key: str = "rows") -> None:
     """Write a table to the text stream `stream`.
 
     columns maps each column name to its values, in CSV column order; a
-    lattice column must be an array, a row column may also be a list. CSV
-    output is a header line and one line per row. JSON output is the object
-    `meta` plus `rows_key`, a list of one object per row, with every object's
-    keys sorted; CSV output ignores `meta`. CSV text cells are written
-    unquoted, so they must hold no comma, quote or line break.
+    lattice column must be an array, a row column may also be a list. A
+    table of rows may instead be a pair (names, blocks): the column names in
+    CSV column order, and an iterable of row blocks, each a list of
+    equal-length 1-D columns in the order of names. Each block is formatted
+    and written before the next is taken from the iterable, and the bytes
+    are those of the table of all blocks' rows. CSV output is a header line
+    and one line per row. JSON output is the object `meta` plus `rows_key`,
+    a list of one object per row, with every object's keys sorted; CSV
+    output ignores `meta`. CSV text cells are written unquoted, so they must
+    hold no comma, quote or line break.
     """
-    names = list(columns)
-    arrays = [v if isinstance(v, list) else np.asarray(v) for v in columns.values()]
+    if isinstance(columns, dict):
+        names, blocks = list(columns), [list(columns.values())]
+    else:
+        names, blocks = columns
     if fmt == "csv":
         stream.write(",".join(names) + "\n")
-        for cells in _row_chunks(arrays, fmt):
+        for cells in _block_chunks(blocks, range(len(names)), fmt):
             stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            del cells  # no chunk is held while the next block is computed
         return
     if fmt != "json":
         raise ValueError(f"unknown table format {fmt!r}")
@@ -215,8 +237,23 @@ def write_table(stream, columns: dict, fmt: str, meta: dict | None = None,
                             sort_keys=True).split(key + "[]")
     stream.write(head + key)
     opened = False
-    for cells in _row_chunks([arrays[k] for k in order], fmt):
+    for cells in _block_chunks(blocks, order, fmt):
         stream.write(",\n" if opened else "[\n")
         stream.write(",\n".join(map(template.__mod__, zip(*cells))))
         opened = True
+        del cells
     stream.write(("\n  ]" if opened else "[]") + tail + "\n")
+
+
+def _block_chunks(blocks, order, fmt: str):
+    """The cell strings of _row_chunks for each block in turn, its columns
+    taken in `order`; a block is taken from `blocks` only when the chunks
+    of the one before it have all been written."""
+    for block in blocks:
+        if len(block) != len(order):
+            raise ValueError("a row block holds the wrong number of columns")
+        columns = [block[k] if isinstance(block[k], list) else np.asarray(block[k])
+                   for k in order]
+        del block  # no block is held while the next one is computed
+        yield from _row_chunks(columns, fmt)
+        del columns

@@ -39,7 +39,7 @@ from noisedist import (
     tight_value,
     variational_f,
 )
-from noisedist.bounds import _boundary_disturbance_of_g, _member_sum
+from noisedist.bounds import _boundary_blocks, _boundary_disturbance_of_g, _member_sum
 from noisedist.cli import main
 from noisedist.tables import write_table
 from scalar_reference import (
@@ -622,7 +622,8 @@ class TestRowBlocks:
     Every value is a per-cell, per-sample, per-angle or per-trial
     computation, and every sampled stream is keyed by its angle, so no block
     size may change a bit, and the peaks scale with the results, not the
-    temporaries."""
+    temporaries. The boundary and sweep commands write their tables a block
+    at a time, so they hold no result whole but a sweep's angles."""
 
     COMMANDS = (
         ["boundary", "--samples", "301", "--format", "json"],
@@ -713,14 +714,18 @@ class TestRowBlocks:
         peak = _traced_peak(lambda: ensemble_boundary_oracle(trials, members, seed=0))
         assert peak - self._oracle_held(trials, members) < 6 * 2**20
 
-    def test_sweep_peak_is_a_small_multiple_of_its_columns(self, tmp_path):
-        # 90,001 angles, six blocks: one block's temporaries are alive, not
-        # every angle's (about 400 bytes an angle when they all were)
-        angles = 90_001
-        argv = ["sweep", "--theta", "0:180:0.002", "--out", str(tmp_path / "s.csv")]
-        # eight columns: theta (8 bytes an angle as a float64), five float
-        # columns and two bool columns
-        assert _traced_peak(lambda: main(argv)) < 4 * (8 * 6 + 2) * angles
+    def test_sweep_peak_is_its_angles_plus_one_block(self, tmp_path):
+        # a sweep holds its angles (8 bytes each) and one block of rows, its
+        # temporaries and its strings: about 6.2 MB above the angles at
+        # 20,001 angles (two blocks) and at 90,001 (six). Holding the value
+        # columns whole, as the whole-table writer did, put 90,001 angles
+        # 10.8 MB above them
+        excess = []
+        for step, angles in (("0.009", 20_001), ("0.002", 90_001)):
+            argv = ["sweep", "--theta", f"0:180:{step}", "--out", str(tmp_path / "s.csv")]
+            excess.append(_traced_peak(lambda: main(argv)) - 8 * angles)
+        assert max(excess) < 7 * 2**20
+        assert abs(excess[1] - excess[0]) < 2**19
 
     def test_sampled_sweep_peak_per_angle(self, tmp_path):
         # 9,001 angles in one block, six streams an angle: about 1,420 traced
@@ -742,12 +747,27 @@ class TestRowBlocks:
         peak = _traced_peak(lambda: disturbance_surface(math.radians(37.5), varthetas, phis))
         assert peak < 4 * 8 * varthetas.size * phis.size
 
-    def test_boundary_peak_is_a_small_multiple_of_its_columns(self, tmp_path):
+    def test_boundary_peak_is_a_small_multiple_of_its_columns(self):
         samples = 100_000
         assert _traced_peak(lambda: boundary_curve(samples)) < 2 * 3 * 8 * samples
-        # six columns: theta, theta in degrees, N, D, mu_line_D, tight_value
-        argv = ["boundary", "--samples", str(samples), "--out", str(tmp_path / "b.csv")]
-        assert _traced_peak(lambda: main(argv)) < 2 * 6 * 8 * samples
+
+    def test_boundary_command_peak_does_not_grow_with_samples(self, tmp_path):
+        # the command computes and writes one block at a time: about 3.3 MB
+        # at 100,000 samples and at 400,000 (with its six columns held
+        # whole, 8.0 and 22.4 MB)
+        peaks = [_traced_peak(lambda: main(["boundary", "--samples", str(samples),
+                                            "--out", str(tmp_path / "b.csv")]))
+                 for samples in (100_000, 400_000)]
+        assert peaks[0] < 4 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+    @pytest.mark.parametrize("samples", [2, 3, 91, 16_384, 16_385, 100_001])
+    def test_boundary_block_angles_are_linspace(self, samples):
+        blocks = list(_boundary_blocks(samples))
+        assert [span.start for span, _ in blocks] == list(range(0, samples, 16_384))
+        theta = np.concatenate([curve.theta for _, curve in blocks])
+        assert theta.tobytes() == np.linspace(0.0, math.pi / 2, samples).tobytes()
+        assert boundary_curve(samples).theta.tobytes() == theta.tobytes()
 
 
 class TestMaassenUffink:

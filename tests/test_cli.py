@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import noisedist.bounds
 import noisedist.cli
 import noisedist.entropy
+import noisedist.tables
 from noisedist import (
     SIGMA_Y,
     SIGMA_Z,
@@ -1028,7 +1029,7 @@ class TestSizeCaps:
             assert f"--trials must be <= {MAX_TRIALS}" in err and "Traceback" not in err
 
     def test_boundary_sample_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(noisedist.cli, "boundary_curve", _must_not_run)
+        monkeypatch.setattr(noisedist.cli, "_boundary_blocks", _must_not_run)
         out = tmp_path / "out"
         run_usage_error(["boundary", "--samples", str(10**12), "--out", str(out)])
         run_usage_error(["boundary", "--samples", str(MAX_SURFACE_CELLS + 1), "--out", str(out)])
@@ -1040,10 +1041,43 @@ class TestOutputFile:
         def fail(samples):
             raise NoiseDistError("kernel failed")
 
-        monkeypatch.setattr(noisedist.cli, "boundary_curve", fail)
+        monkeypatch.setattr(noisedist.cli, "_boundary_blocks", fail)
         out = tmp_path / "curve.csv"
         run_usage_error(["boundary", "--out", str(out)])
         assert not out.exists()
+
+    # at seed 2 and 4 shots the first table with an empty input row is family
+    # B's at 60 degrees, the fifth angle of this grid
+    STARVED = ["sweep", "--theta", "0:180:15", "--mode", "poisson", "--shots", "4",
+               "--seed", "2"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_first_block_writes_nothing(self, fmt, tmp_path, capsys):
+        # one block: it is computed, and fails, before the output is opened
+        out = tmp_path / "s.out"
+        out.write_text("kept")
+        run_usage_error(self.STARVED + ["--format", fmt, "--out", str(out)])
+        assert out.read_text() == "kept"
+        run_usage_error(self.STARVED + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input row with zero counts in family B" in captured.err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_later_block_removes_the_out_file(self, fmt, tmp_path, monkeypatch, capsys):
+        # blocks of two angles: 0 and 15, 30 and 45 are written, 60 fails
+        monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", 2)
+        out = tmp_path / "s.out"
+        run_usage_error(self.STARVED + ["--format", fmt, "--out", str(out)])
+        assert not out.exists()
+        assert "input row with zero counts in family B" in capsys.readouterr().err
+
+    def test_failed_later_block_keeps_the_rows_written_on_stdout(self, monkeypatch, capsys):
+        monkeypatch.setattr(noisedist.tables, "_BLOCK_SIZE", 2)
+        run_usage_error(self.STARVED)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == SWEEP_CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "15.0", "30.0", "45.0"]
 
     def test_write_error_removes_partial_file(self, tmp_path, monkeypatch, capsys):
         real = noisedist.cli.write_table

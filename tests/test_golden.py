@@ -735,7 +735,7 @@ def _kernel_fails(monkeypatch):
     def fail(samples):
         raise NoiseDistError("kernel failed")
 
-    monkeypatch.setattr(noisedist.cli, "boundary_curve", fail)
+    monkeypatch.setattr(noisedist.cli, "_boundary_blocks", fail)
 
 
 def _disk_full(monkeypatch):

@@ -313,3 +313,41 @@ def test_unknown_format_rejected():
 def test_columns_of_unequal_length_rejected():
     with pytest.raises(ValueError):
         emit({"a": [1.0, 2.0], "b": np.zeros(3)}, "csv")
+
+
+@given(columns=tables(), cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+       chunk=st.integers(min_value=1, max_value=7),
+       meta=st.dictionaries(META_KEYS, META_VALUES, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_row_blocks_write_the_bytes_of_the_whole_table(columns, cuts, chunk, meta):
+    # blocks of any lengths, empty ones among them, in or across chunks
+    n = len(columns["x"])
+    edges = [0, *sorted(min(cut, n) for cut in cuts), n]
+    blocks = [[v[start:stop] for v in columns.values()] for start, stop in zip(edges, edges[1:])]
+    original = noisedist.tables.CHUNK_ROWS
+    noisedist.tables.CHUNK_ROWS = chunk
+    try:
+        for fmt in ("csv", "json"):
+            whole = emit(columns, fmt, meta=meta)
+            assert emit((list(columns), iter(blocks)), fmt, meta=meta) == whole
+    finally:
+        noisedist.tables.CHUNK_ROWS = original
+
+
+def test_row_blocks_are_taken_one_at_a_time():
+    stream = io.StringIO()
+    lines_before = []
+
+    def blocks():
+        for start in range(0, 10, 4):
+            lines_before.append(stream.getvalue().count("\n"))
+            yield [np.arange(start, min(start + 4, 10), dtype=float), [True] * min(4, 10 - start)]
+
+    write_table(stream, (["x", "ok"], blocks()), "csv")
+    assert lines_before == [1, 5, 9]  # the header, then every row of the blocks before
+    assert stream.getvalue().count("\n") == 11
+
+
+def test_row_block_of_the_wrong_width_rejected():
+    with pytest.raises(ValueError):
+        emit((["a", "b"], [[[1.0], [2.0]], [[3.0]]]), "csv")
