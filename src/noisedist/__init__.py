@@ -26,14 +26,12 @@ from .bounds import (
     BoundaryCurve,
     EnsembleMember,
     GridSearchResult,
-    MaassenUffinkReport,
     OracleReport,
     boundary_curve,
     check_bounds,
     correction_grid_search,
     disturbance_surface,
     ensemble_boundary_oracle,
-    maassen_uffink_compare,
     optimal_correction,
     tight_value,
     variational_f,

@@ -212,6 +212,10 @@ def boundary_curve(samples: int) -> BoundaryCurve:
 
     Endpoints are (0, 1) and (1, 0) exactly; every point satisfies
     g[N]^2 + g[D]^2 = 1 within 1e-10. At most MAX_SURFACE_CELLS samples.
+    N + D at theta is also the entropy sum H(sigma_z) + H(sigma_y) of the
+    y-z-plane pure state psi(theta, pi/2), which has r_z = cos(theta) and
+    r_y = sin(theta): it meets the flat Maassen-Uffink bound of 1 bit at
+    the endpoints only.
     """
     samples = _count("samples", samples, 2, MAX_SURFACE_CELLS)
     return BoundaryCurve(*_gathered(samples, _boundary_blocks(samples)))
@@ -408,40 +412,3 @@ def ensemble_boundary_oracle(trials: int, max_members: int = 4, seed: int = 0) -
         min_entropy_sum=float(least_sum[0]),
     )
 
-
-@dataclass(frozen=True)
-class MaassenUffinkReport:
-    """Comparison of the boundary against the flat entropy bound
-    H(sigma_y) + H(sigma_z) >= 1 bit.
-
-    The pure state psi(theta, pi/2) in the y-z plane has r_z = cos(theta)
-    and r_y = sin(theta), so its entropy sum h(r_z) + h(r_y) is the
-    boundary's N + D at theta, and boundary_curve gives both:
-    min_state_sum and min_boundary_sum are the one minimum of that sum. It
-    equals 1 bit, attained at the eigenstate endpoints only;
-    min_interior_gap is the smallest interior excess over 1 bit.
-    """
-
-    min_state_sum: float
-    min_boundary_sum: float
-    argmin_theta: float
-    min_interior_gap: float
-    samples: int
-
-
-def maassen_uffink_compare(samples: int) -> MaassenUffinkReport:
-    """Sweep y-z-plane pure states at `samples` angles in [0, pi/2] and
-    compare the entropy sum H(sigma_z) + H(sigma_y) against the flat bound
-    of 1 bit (the sweep covers all such states up to the h(x) = h(-x)
-    symmetry). At most MAX_SURFACE_CELLS samples."""
-    curve = boundary_curve(samples)
-    sums = curve.noise + curve.disturbance
-    argmin = int(np.argmin(sums))
-    least = float(sums[argmin])
-    return MaassenUffinkReport(
-        min_state_sum=least,
-        min_boundary_sum=least,
-        argmin_theta=float(curve.theta[argmin]),
-        min_interior_gap=float(sums[1:-1].min() - 1.0) if sums.size > 2 else float("nan"),
-        samples=int(samples),
-    )

@@ -25,10 +25,10 @@ from .bounds import (
     MAX_SURFACE_CELLS,
     MAX_TRIALS,
     _boundary_blocks,
+    boundary_curve,
     check_bounds,
     correction_grid_search,
     ensemble_boundary_oracle,
-    maassen_uffink_compare,
     optimal_correction,
     tight_value,
     variational_f,
@@ -388,6 +388,15 @@ def _sweep_columns(thetas_deg, mode, correction_kind, target, shots, seed):
     return h[:, 0], h[:, 1], h[:, -1]
 
 
+def _bound_flags(n, d0, dcorr, tolerance):
+    """(tight_value, general_ok, tight_ok) arrays of a sweep's rows, the one
+    row model of sweep and verify: the tight bound of Dcorr alone, the
+    general one of D0 and Dcorr."""
+    tight, general_ok, tight_ok = check_bounds(n, dcorr, tolerance=tolerance)
+    general_ok &= n + d0 >= 1.0 - tolerance
+    return tight, general_ok, tight_ok
+
+
 def run_sweep(opt) -> int:
     try:
         thetas = parse_theta_spec(opt.theta)
@@ -404,10 +413,7 @@ def run_sweep(opt) -> int:
     def sweep_rows(thetas_deg):
         n, d0, dcorr = _sweep_columns(thetas_deg, opt.mode, opt.correction, target, opt.shots,
                                       opt.seed)
-        # the tight bound of Dcorr alone; the general one of D0 and Dcorr
-        tight, general_ok, tight_ok = check_bounds(n, dcorr, tolerance=tolerance)
-        general_ok &= n + d0 >= 1.0 - tolerance
-        return [thetas_deg, n, d0, dcorr, n + dcorr, tight, general_ok, tight_ok]
+        return [thetas_deg, n, d0, dcorr, n + dcorr, *_bound_flags(n, d0, dcorr, tolerance)]
 
     # row-blocked: a sampled stream is keyed by its angle, so the blocks
     # change no count, and they run in order, so the first empty table raises
@@ -508,143 +514,169 @@ def run_simulate(opt) -> int:
 # --------------------------------------------------------------- verify
 
 
-def _verify_checks(opt):
-    """Run the invariant battery; yields (name, passed, detail) triples.
-    opt.perturb_disturbance deliberately biases the disturbance values used
-    in the bound checks, as a negative control for this very battery."""
-    checks = []
-
+def _verify_context():
+    """What the checks of VERIFY_CHECKS share, computed once: the analytic
+    pipeline's rows N, D0 and Dopt over 0..180 degrees in steps of 1, and
+    the same rows on the paper grid (DEFAULT_THETA_SPEC), read off them."""
     grid_deg = [float(t) for t in range(181)]
-    thetas = np.radians(grid_deg)
+    pipe = np.stack(_sweep_columns(grid_deg, "analytic", "optimal", None, 1, 0))
+    paper_deg = parse_theta_spec(DEFAULT_THETA_SPEC)  # a part of the integer grid
+    return SimpleNamespace(grid_deg=grid_deg, pipe=pipe, paper_deg=paper_deg,
+                           paper=pipe[:, paper_deg.astype(int)])
 
-    n_pipe, d0_pipe, dopt_pipe = _sweep_columns(grid_deg, "analytic", "optimal", None, 1, 0)
 
-    dev = max(
-        np.max(np.abs(n_pipe - theory_noise(thetas))),
-        np.max(np.abs(d0_pipe - theory_disturbance_uncorrected(thetas))),
-        np.max(np.abs(dopt_pipe - theory_disturbance_optimal(thetas))),
-    )
-    pipe = np.stack([n_pipe, d0_pipe, dopt_pipe])  # rows N, D0, Dopt
-    endpoints = pipe[:, [0, 90, 180]].T.tolist()
+def _check_theory_curves(opt, ctx):
+    thetas = np.radians(ctx.grid_deg)
+    theory = (theory_noise(thetas), theory_disturbance_uncorrected(thetas),
+              theory_disturbance_optimal(thetas))
+    dev = max(np.max(np.abs(row - curve)) for row, curve in zip(ctx.pipe, theory))
+    endpoints = ctx.pipe[:, [0, 90, 180]].T.tolist()
     endpoints_exact = endpoints == [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
-    checks.append(("theory-curves", dev <= 1e-12 and endpoints_exact,
-                   f"max|pipeline-closed form|={dev:.3e}, endpoints exact={endpoints_exact}"))
+    return (dev <= 1e-12 and endpoints_exact,
+            f"max|pipeline-closed form|={dev:.3e}, endpoints exact={endpoints_exact}")
 
-    # bound checks run on (possibly perturbed) disturbances; the perturbation
-    # is the documented negative control and must trip these two checks
-    d_chk = np.clip(np.stack([d0_pipe, dopt_pipe]) - opt.perturb_disturbance, 0.0, 1.0)
-    # the tight bound of Dopt alone; the general one of D0 and Dopt
-    tight, general_ok, _ = check_bounds(n_pipe, d_chk[1])
-    general_ok &= n_pipe + d_chk[0] >= 1.0 - 1e-9
-    slack = np.min(n_pipe + d_chk) - 1.0
-    checks.append(("general-bound", bool(general_ok.all()),
-                   f"min(N+D)-c_AB={slack:.3e} over {thetas.size} angles, both corrections"))
 
-    tight_dev = np.max(np.abs(tight - 1.0))
-    checks.append(("tight-saturation", tight_dev <= 1e-9,
-                   f"max|g[N]^2+g[Dopt]^2-1|={tight_dev:.3e}"))
+def _checked_bounds(opt, ctx):
+    """N + D of (D0, Dopt), and the _bound_flags of the rows, with the
+    disturbances lowered by opt.perturb_disturbance: the documented negative
+    control of this battery, which must trip the two bound checks."""
+    n, d_chk = ctx.pipe[0], np.clip(ctx.pipe[1:] - opt.perturb_disturbance, 0.0, 1.0)
+    return n + d_chk, _bound_flags(n, *d_chk, 1e-9)
 
-    order_ok = bool(np.all(dopt_pipe <= d0_pipe + 1e-12))
-    equal_at = [grid_deg[i] for i in np.flatnonzero(np.abs(d0_pipe - dopt_pipe) <= 1e-12)]
-    checks.append(("correction-ordering", order_ok and equal_at == [0.0, 90.0, 180.0],
-                   f"Dopt<=D0 everywhere={order_ok}, equality at {equal_at}"))
 
+def _check_general_bound(opt, ctx):
+    sums, (_, general_ok, _) = _checked_bounds(opt, ctx)
+    return (bool(general_ok.all()), f"min(N+D)-c_AB={np.min(sums) - 1.0:.3e} over "
+                                    f"{sums.shape[1]} angles, both corrections")
+
+
+def _check_tight_saturation(opt, ctx):
+    tight_dev = np.max(np.abs(_checked_bounds(opt, ctx)[1][0] - 1.0))
+    return tight_dev <= 1e-9, f"max|g[N]^2+g[Dopt]^2-1|={tight_dev:.3e}"
+
+
+def _check_correction_ordering(opt, ctx):
+    _, d0, dopt = ctx.pipe
+    order_ok = bool(np.all(dopt <= d0 + 1e-12))
+    equal_at = [ctx.grid_deg[i] for i in np.flatnonzero(np.abs(d0 - dopt) <= 1e-12)]
+    return (order_ok and equal_at == [0.0, 90.0, 180.0],
+            f"Dopt<=D0 everywhere={order_ok}, equality at {equal_at}")
+
+
+def _check_correction_search(opt, ctx):
     coarse = np.radians(np.arange(0.0, 180.1, 22.5))
     res = correction_grid_search(math.radians(50.0), coarse, coarse)
     expect = binary_entropy(math.sin(math.radians(50.0)))
-    argmin_ok = (math.degrees(res.best_vartheta), math.degrees(res.best_phi)) == (90.0, 90.0)
+    argmin = (math.degrees(res.best_vartheta), math.degrees(res.best_phi))
     refine = np.radians(np.arange(80.0, 100.1, 1.0))
     res_fine = correction_grid_search(math.radians(50.0), refine, refine)
-    checks.append((
-        "correction-search",
-        argmin_ok and abs(res.d_min - expect) <= 1e-9 and res_fine.d_min >= expect - 1e-9,
-        f"argmin=({math.degrees(res.best_vartheta):g},{math.degrees(res.best_phi):g}), "
-        f"|Dmin-h(sin50)|={abs(res.d_min - expect):.3e}",
-    ))
+    return (argmin == (90.0, 90.0) and abs(res.d_min - expect) <= 1e-9
+            and res_fine.d_min >= expect - 1e-9,
+            f"argmin=({argmin[0]:g},{argmin[1]:g}), |Dmin-h(sin50)|={abs(res.d_min - expect):.3e}")
 
-    # the paper grid is part of the integer grid, so its columns are read off it
-    paper_deg = parse_theta_spec(DEFAULT_THETA_SPEC)
-    paper = pipe[:, paper_deg.astype(int)]
-    exact = np.stack(_sweep_columns(paper_deg, "exact", "optimal", None, 10**6, 0))
-    exact_dev = float(np.max(np.abs(exact - paper)))
-    checks.append(("estimator-exact", exact_dev <= 1e-12,
-                   f"max|counts pipeline-analytic|={exact_dev:.3e}"))
 
+def _check_estimator_exact(opt, ctx):
+    exact = np.stack(_sweep_columns(ctx.paper_deg, "exact", "optimal", None, 10**6, 0))
+    exact_dev = float(np.max(np.abs(exact - ctx.paper)))
+    return exact_dev <= 1e-12, f"max|counts pipeline-analytic|={exact_dev:.3e}"
+
+
+def _check_estimator_sampled(opt, ctx):
     # A without a correction and B under the optimal one, for 3 seeds
-    axes, targets = _sweep_targets(paper_deg, "optimal", None)
+    axes, targets = _sweep_targets(ctx.paper_deg, "optimal", None)
     counts = _draw_counts([opt.seed, opt.seed + 1, opt.seed + 2], "AB", axes, targets,
                           opt.shots, "multinomial")
     sampled = _input_entropy_given_out(counts, "AB")
-    sampled_dev = float(np.max(np.abs(sampled - paper[[0, 2]].T)))
+    sampled_dev = float(np.max(np.abs(sampled - ctx.paper[[0, 2]].T)))
     # the 0.01-bit tolerance is stated at 1e6 shots; scale it as 1/sqrt(shots)
     # when the battery is run with fewer shots for speed
     sampled_tol = 0.01 * max(1.0, math.sqrt(1e6 / opt.shots))
-    checks.append(("estimator-sampled", sampled_dev < sampled_tol,
-                   f"max dev={sampled_dev:.4f} bits at {opt.shots} shots, 3 seeds "
-                   f"(tol {sampled_tol:.4f})"))
+    return (sampled_dev < sampled_tol,
+            f"max dev={sampled_dev:.4f} bits at {opt.shots} shots, 3 seeds "
+            f"(tol {sampled_tol:.4f})")
 
-    if opt.trials > 0:
-        report = ensemble_boundary_oracle(opt.trials, max_members=4, seed=opt.seed)
-        # single-member points, the projection lemma and N* + D* >= 1 are
-        # the provable invariants; multi-member mixtures legitimately reach
-        # down to the straight N+D=1 segment, so their distance to the curve
-        # is reported, not gated
-        single_ok = (math.isnan(report.min_single_member_distance)
-                     or report.min_single_member_distance >= -1e-9)
-        oracle_ok = (
-            single_ok
-            and report.max_member_noise_increase <= 1e-12
-            and report.max_projection_disturbance_shift <= 1e-12
-            and report.min_entropy_sum >= 1.0 - 1e-12
-        )
-        checks.append(("ensemble-oracle", oracle_ok,
-                       f"{report.trials} trials: single-member min dist="
-                       f"{report.min_single_member_distance:.3e}, projection lemma "
-                       f"max increase={report.max_member_noise_increase:.3e}"))
-        print(
-            f"note: min signed distance to the curve over all trials = "
-            f"{report.min_signed_distance:.4f} bits ({report.boundary_violations} of "
-            f"{report.trials} trials below it; entropy averages are only bounded "
-            "by the N+D=1 segment, not by the curve: min N*+D* = "
-            f"{report.min_entropy_sum:.4f} bits)",
-            file=sys.stderr,
-        )
-    else:
+
+def _check_ensemble_oracle(opt, ctx):
+    """None, and a note on stderr, for --trials 0: the check is left out."""
+    if opt.trials <= 0:
         print("note: ensemble-oracle section skipped (trials=0)", file=sys.stderr)
+        return None
+    report = ensemble_boundary_oracle(opt.trials, max_members=4, seed=opt.seed)
+    # single-member points, the projection lemma (member-wise and so
+    # ensemble-wise) and N* + D* >= 1 are the provable invariants;
+    # multi-member mixtures legitimately reach down to the straight N+D=1
+    # segment, so their distance to the curve is reported, not gated
+    oracle_ok = (not report.min_single_member_distance < -1e-9  # NaN: no single-member trial
+                 and report.max_member_noise_increase <= 1e-12
+                 and report.max_projection_noise_increase <= 1e-12
+                 and report.max_projection_disturbance_shift <= 1e-12
+                 and report.min_entropy_sum >= 1.0 - 1e-12)
+    print(f"note: min signed distance to the curve over all trials = "
+          f"{report.min_signed_distance:.4f} bits ({report.boundary_violations} of "
+          f"{report.trials} trials below it; entropy averages are only bounded "
+          "by the N+D=1 segment, not by the curve: min N*+D* = "
+          f"{report.min_entropy_sum:.4f} bits)", file=sys.stderr)
+    return (oracle_ok,
+            f"{report.trials} trials: single-member min dist="
+            f"{report.min_single_member_distance:.3e}, projection lemma "
+            f"max increase={report.max_member_noise_increase:.3e}")
 
+
+def _check_variational_f(opt, ctx):
     ts = np.array([(k / 1001.0) * (math.pi / 2) for k in range(1, 1001)])
     f_vals = variational_f(ts)
     mono = bool(np.all(np.diff(f_vals) > 0.0))
     recip_dev = float(np.max(np.abs(variational_f(math.pi / 2 - ts) * f_vals - 1.0)))
-    checks.append(("variational-f", mono and recip_dev <= 1e-9,
-                   f"monotone={mono}, max|f(t)f(90-t)-1|={recip_dev:.3e}"))
+    return mono and recip_dev <= 1e-9, f"monotone={mono}, max|f(t)f(90-t)-1|={recip_dev:.3e}"
 
-    mu = maassen_uffink_compare(1572)  # ~1e-3 rad resolution on [0, pi/2]
-    mu_ok = (
-        abs(mu.min_state_sum - 1.0) <= 1e-12
-        and mu.min_interior_gap > 0.0
-        and mu.argmin_theta in (0.0, math.pi / 2)
-    )
-    checks.append(("maassen-uffink", mu_ok,
-                   f"min sum={mu.min_state_sum:.6f} at theta={mu.argmin_theta:g}, "
-                   f"interior gap>={mu.min_interior_gap:.3e}"))
 
+def _check_maassen_uffink(opt, ctx):
+    # the boundary's N + D at theta is the entropy sum H(sigma_z) + H(sigma_y)
+    # of the y-z-plane pure state psi(theta, pi/2); the flat bound is 1 bit
+    curve = boundary_curve(1572)  # ~1e-3 rad resolution on [0, pi/2]
+    sums = curve.noise + curve.disturbance
+    argmin = int(np.argmin(sums))
+    least, theta = float(sums[argmin]), float(curve.theta[argmin])
+    gap = float(sums[1:-1].min() - 1.0)
+    return (abs(least - 1.0) <= 1e-12 and gap > 0.0 and theta in (0.0, math.pi / 2),
+            f"min sum={least:.6f} at theta={theta:g}, interior gap>={gap:.3e}")
+
+
+def _check_entropy_roundtrip(opt, ctx):
     x = np.random.default_rng(opt.seed).uniform(0.0, 1.0, 1000)
     rt = np.abs(binary_entropy_inverse(binary_entropy(x)) - x)
     # g is ill conditioned where h is flat: an error of 1e-15 in h(x) moves g
     # by 1e-15 / |h'(x)|, allowed on top of 1e-10 (it exceeds it for x < 7e-6)
     rt_ok = np.all((rt - 1e-10) * np.abs(binary_entropy_derivative(x)) <= 1e-15)
-    checks.append(("entropy-roundtrip", bool(rt_ok),
-                   f"max|g(h(x))-x|={np.max(rt):.3e} over 1000 uniforms"))
+    return bool(rt_ok), f"max|g(h(x))-x|={np.max(rt):.3e} over 1000 uniforms"
 
-    return checks
+
+#: verify's invariant battery, in report order: (name, check). A check takes
+#: the resolved options and the shared _verify_context() and returns (passed,
+#: detail), or None to be left out of the report.
+VERIFY_CHECKS = (
+    ("theory-curves", _check_theory_curves),
+    ("general-bound", _check_general_bound),
+    ("tight-saturation", _check_tight_saturation),
+    ("correction-ordering", _check_correction_ordering),
+    ("correction-search", _check_correction_search),
+    ("estimator-exact", _check_estimator_exact),
+    ("estimator-sampled", _check_estimator_sampled),
+    ("ensemble-oracle", _check_ensemble_oracle),
+    ("variational-f", _check_variational_f),
+    ("maassen-uffink", _check_maassen_uffink),
+    ("entropy-roundtrip", _check_entropy_roundtrip),
+)
 
 
 def run_verify(opt) -> int:
-    checks = _verify_checks(opt)
+    """Run every check of VERIFY_CHECKS, then print one line per check and
+    the verdict."""
+    context = _verify_context()
+    checks = [(name, *result) for name, check in VERIFY_CHECKS
+              if (result := check(opt, context)) is not None]
     width = max(len(name) for name, _, _ in checks)
-    failures = sum(not ok for _, ok, _ in checks)
-    total = len(checks)
+    failures, total = sum(not ok for _, ok, _ in checks), len(checks)
     with _output(None) as stream:
         for name, ok, detail in checks:
             stream.write(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}\n")

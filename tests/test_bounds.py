@@ -33,7 +33,6 @@ from noisedist import (
     disturbance,
     disturbance_surface,
     ensemble_boundary_oracle,
-    maassen_uffink_compare,
     optimal_correction,
     polar_observable,
     tight_value,
@@ -771,12 +770,21 @@ class TestRowBlocks:
 
 
 class TestMaassenUffink:
+    """The boundary against the flat bound H(sigma_z) + H(sigma_y) >= 1 bit:
+    N + D of boundary_curve at theta is the entropy sum of the y-z-plane
+    pure state psi(theta, pi/2)."""
+
+    @staticmethod
+    def sums(samples):
+        curve = boundary_curve(samples)
+        return curve.theta, curve.noise + curve.disturbance
+
     def test_minimum_is_one_bit_at_the_endpoints_only(self):
-        report = maassen_uffink_compare(721)
-        assert report.min_state_sum == 1.0
-        assert report.min_boundary_sum == 1.0
-        assert report.argmin_theta in (0.0, math.pi / 2)
-        assert report.min_interior_gap > 0.0
+        theta, sums = self.sums(721)
+        assert sums.min() == 1.0
+        assert sums[0] == sums[-1] == 1.0
+        assert theta[np.argmin(sums)] in (0.0, math.pi / 2)
+        assert sums[1:-1].min() - 1.0 > 0.0
 
     def test_state_at_45_exceeds_the_flat_bound(self):
         state = PureState.from_angles(math.pi / 4, math.pi / 2).direction
@@ -796,7 +804,7 @@ class TestMaassenUffink:
             return real(x)
 
         monkeypatch.setattr(noisedist.bounds, "binary_entropy", recorded)
-        maassen_uffink_compare(samples)
+        boundary_curve(samples)
         states = [PureState.from_angles(t, math.pi / 2).direction
                   for t in np.linspace(0.0, math.pi / 2, samples).tolist()]
         assert np.array_equal(seen[-2], [state.z for state in states])
@@ -809,19 +817,19 @@ class TestMaassenUffink:
                 1.0, PureState.from_angles(t, math.pi / 2).direction)]))
             for t in thetas
         ])
-        report = maassen_uffink_compare(157)
-        assert report.min_state_sum == sums.min()
-        assert report.argmin_theta == thetas[np.argmin(sums)]
-        assert report.min_interior_gap == sums[1:-1].min() - 1.0
+        theta, curve_sums = self.sums(157)
+        assert curve_sums.min() == sums.min()
+        assert theta[np.argmin(curve_sums)] == thetas[np.argmin(sums)]
+        assert curve_sums[1:-1].min() - 1.0 == sums[1:-1].min() - 1.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            maassen_uffink_compare(1)
+            boundary_curve(1)
 
     @pytest.mark.parametrize("samples", [math.nan, 2.5])
     def test_samples_must_be_an_integer(self, samples):
         with pytest.raises(ValidationError):
-            maassen_uffink_compare(samples)
+            boundary_curve(samples)
 
 
 def test_x_axis_observable_has_maximal_noise_everywhere():

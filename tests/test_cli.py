@@ -43,6 +43,7 @@ from noisedist.cli import (
     MAX_THETA_POINTS,
     MAX_TRIALS,
     SWEEP_CSV_HEADER,
+    VERIFY_CHECKS,
     main,
     parse_theta_spec,
 )
@@ -471,6 +472,7 @@ class TestVerify:
 
     # each gated oracle report field, at a value just outside its gate
     OUT_OF_RANGE = {"min_single_member_distance": -1e-8, "max_member_noise_increase": 1e-9,
+                    "max_projection_noise_increase": 1e-9,
                     "max_projection_disturbance_shift": 1e-9, "min_entropy_sum": 1.0 - 1e-9}
 
     @pytest.mark.parametrize("field", OUT_OF_RANGE)
@@ -491,6 +493,41 @@ class TestVerify:
         monkeypatch.setattr(noisedist.entropy, "_NEWTON_STEPS", 2)
         assert main(["verify", "--seed", "517086", "--trials", "0", "--shots", "20000"]) == 1
         assert "FAIL  entropy-roundtrip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [name for name, _ in VERIFY_CHECKS])
+    def test_every_named_check_reaches_the_verdict(self, name, monkeypatch, capsys):
+        def stub(opt, context):
+            return False, "stub"
+
+        checks = tuple((key, stub if key == name else check) for key, check in VERIFY_CHECKS)
+        monkeypatch.setattr(noisedist.cli, "VERIFY_CHECKS", checks)
+        assert main(["verify", "--trials", "500", "--shots", "20000"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        k = len(VERIFY_CHECKS)
+        assert len(lines) == k + 1
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL  {name:<{max(len(key) for key, _ in VERIFY_CHECKS)}}  stub"]
+        assert lines[-1] == f"verification: FAIL ({k - 1}/{k})"
+
+    def test_sweep_and_verify_share_one_row_model(self, tmp_path, monkeypatch, capsys):
+        # clearing general_ok in _bound_flags reaches both commands' verdicts
+        real = noisedist.cli._bound_flags
+
+        def cleared(*args):
+            tight, general_ok, tight_ok = real(*args)
+            return tight, np.zeros_like(general_ok), tight_ok
+
+        monkeypatch.setattr(noisedist.cli, "_bound_flags", cleared)
+        out = tmp_path / "sweep.csv"
+        run_ok(["sweep", "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(PAPER_GRID)
+        assert {row[SWEEP_CSV_HEADER.split(",").index("general_ok")] for row in rows} == {"false"}
+        assert main(["verify", "--trials", "0", "--shots", "20000"]) == EXIT_VERIFY_FAILED
+        report = capsys.readouterr().out
+        assert "FAIL  general-bound" in report
+        assert "PASS  tight-saturation" in report
+        assert report.endswith("verification: FAIL (9/10)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -292,6 +292,17 @@ def test_verify_report_hash_is_pinned(name, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_verify_checks_are_the_names_of_the_pinned_report(capsys):
+    argv, code, digest = VERIFY_GOLDEN["verify-seed-4"]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert _sha(out) == digest
+    verdicts, _ = _verify_verdicts(out)
+    names = [name for _, name in verdicts]
+    assert len(names) == 11
+    assert [name for name, _ in noisedist.cli.VERIFY_CHECKS] == names
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN), ids=str)
 def test_oracle_report_hash_is_pinned(case):
     trials, max_members, seed = case

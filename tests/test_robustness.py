@@ -33,7 +33,6 @@ from noisedist import (
     disturbance_surface,
     ensemble_boundary_oracle,
     joint_tables,
-    maassen_uffink_compare,
     noise_bits,
     polar_observable,
     theory_disturbance_optimal,
@@ -131,23 +130,6 @@ def test_boundary_curve_is_finite_or_raises(samples):
     assert _finite_in_range(curve.theta, 0.0, math.pi / 2)
     assert _finite_in_range(curve.noise, 0.0, 1.0)
     assert _finite_in_range(curve.disturbance, 0.0, 1.0)
-
-
-@given(samples=sizes)
-@settings(max_examples=150, deadline=None)
-def test_maassen_uffink_compare_is_finite_or_raises(samples):
-    try:
-        report = maassen_uffink_compare(samples)
-    except NoiseDistError:
-        return
-    assert report.samples == samples
-    assert _finite_in_range([report.min_state_sum, report.min_boundary_sum], 1.0, 2.0)
-    assert _finite_in_range([report.argmin_theta], 0.0, math.pi / 2)
-    # the interior gap is a minimum over the interior angles, none for 2 samples
-    if samples > 2:
-        assert _finite_in_range([report.min_interior_gap], 0.0, 1.0)
-    else:
-        assert math.isnan(report.min_interior_gap)
 
 
 @given(trials=sizes, max_members=st.one_of(st.integers(-1, 6), st.floats()),
@@ -248,7 +230,6 @@ def test_scalar_lattice_axes_count_as_one_value():
 OVERSIZED = {
     "boundary-curve-1e13": (boundary_curve, lambda: (10**13,)),
     "boundary-curve-cap+1": (boundary_curve, lambda: (MAX_SURFACE_CELLS + 1,)),
-    "maassen-uffink-1e13": (maassen_uffink_compare, lambda: (10**13,)),
     "oracle-1e10": (ensemble_boundary_oracle, lambda: (10**10,)),
     "oracle-cap+1": (ensemble_boundary_oracle, lambda: (MAX_TRIALS + 1,)),
     "oracle-members-1e13": (ensemble_boundary_oracle, lambda: (1, 10**13)),
